@@ -6,12 +6,12 @@
 //! gz info stream.gzs
 //! gz components stream.gzs [--workers 4] [--store ram|disk] \
 //!     [--buffering leaf|tree] [--dir /tmp/gzwork] [--forest] \
-//!     [--query-mode snapshot|streaming] [--query-threads N] \
-//!     [--staleness U] [--threshold T] [--io-backend auto|pread|uring] \
+//!     [--query-threads N] [--staleness U] [--threshold T] \
+//!     [--io-backend auto|pread|uring] \
 //!     [--stats] [--shards K [--connect host:port,host:port,...]] \
 //!     [--checkpoint-every N] [--batch-updates N] [--respawn]
 //! gz checkpoint save ckpt.gzc --from stream.gzs [--workers 4] [--seed S]
-//! gz checkpoint restore ckpt.gzc [--forest] [--query-mode streaming]
+//! gz checkpoint restore ckpt.gzc [--forest] [--query-threads N]
 //! gz shard-worker --listen 127.0.0.1:7001 --nodes 1024 --shards 2 --index 0 \
 //!     [--checkpoint shard.ckpt | --resume shard.ckpt]
 //! gz serve (--listen host:port | --unix sock.path) --nodes 1024 \
@@ -42,9 +42,8 @@ pub mod serve;
 
 use graph_zeppelin::{
     connect_shard_tcp, serve_shard_connection, BipartitenessTester, BufferStrategy, GraphZeppelin,
-    GutterCapacity, GzConfig, IoBackendKind, QueryMode, RecoveringTransport, RetryPolicy,
-    ShardConfig, ShardPipeline, ShardedGraphZeppelin, SocketTransport, StoreBackend,
-    TransportTimeouts,
+    GutterCapacity, GzConfig, IoBackendKind, RecoveringTransport, RetryPolicy, ShardConfig,
+    ShardPipeline, ShardedGraphZeppelin, SocketTransport, StoreBackend, TransportTimeouts,
 };
 use gz_stream::format::{StreamReader, StreamWriter};
 use gz_stream::{Dataset, GeneratorSpec, StreamifyConfig, UpdateKind};
@@ -70,18 +69,9 @@ impl StoreArg {
     }
 }
 
-/// Parse a `--query-mode` value straight into the config type (the CLI
-/// needs no intermediate enum: snapshot/streaming map 1:1).
-fn parse_query_mode(s: &str) -> Result<QueryMode, String> {
-    match s {
-        "snapshot" => Ok(QueryMode::Snapshot),
-        "streaming" => Ok(QueryMode::Streaming),
-        other => Err(format!("unknown query mode {other} (want snapshot|streaming)")),
-    }
-}
-
-/// Parse an `--io-backend` value straight into the config type, mirroring
-/// [`parse_query_mode`]: auto/pread/uring map 1:1 onto [`IoBackendKind`].
+/// Parse an `--io-backend` value straight into the config type (the CLI
+/// needs no intermediate enum: auto/pread/uring map 1:1 onto
+/// [`IoBackendKind`]).
 fn parse_io_backend(s: &str) -> Result<IoBackendKind, String> {
     IoBackendKind::parse(s).ok_or_else(|| format!("unknown io backend {s} (want auto|pread|uring)"))
 }
@@ -136,11 +126,9 @@ pub enum Command {
         dir: Option<PathBuf>,
         /// Also print the spanning forest.
         forest: bool,
-        /// How queries read sketches out of the store.
-        query_mode: QueryMode,
         /// Borůvka query-engine threads (`None` = the worker count).
         query_threads: Option<usize>,
-        /// Bounded staleness for streaming queries: reuse a sealed epoch
+        /// Bounded staleness for queries: reuse a sealed epoch
         /// while it lags fewer than this many updates (`None` = always
         /// query fresh state).
         staleness: Option<u64>,
@@ -189,8 +177,6 @@ pub enum Command {
         path: PathBuf,
         /// Also print the spanning forest.
         forest: bool,
-        /// How the restored system reads sketches at query time.
-        query_mode: QueryMode,
         /// Borůvka query-engine threads (`None` = the worker count).
         query_threads: Option<usize>,
         /// Disk-store I/O backend for the restored system (`None` = auto).
@@ -391,7 +377,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut buffering = None;
             let mut dir = None;
             let mut forest = false;
-            let mut query_mode = None;
             let mut query_threads = None;
             let mut staleness = None;
             let mut threshold = None;
@@ -431,12 +416,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         set_once(&mut buffering, BufferingArg::Tree, arg)?;
                     }
                     "--forest" => set_switch(&mut forest, arg)?,
-                    "--query-mode" => {
-                        let v = parse_query_mode(
-                            it.next().ok_or("--query-mode needs snapshot|streaming")?,
-                        )?;
-                        set_once(&mut query_mode, v, arg)?;
-                    }
                     // `--staleness 0` is meaningful (reseal on every query),
                     // so a plain parse — not parse_positive — is correct.
                     "--staleness" => set_once(&mut staleness, parse_num(&mut it, arg)?, arg)?,
@@ -481,10 +460,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                      coordinator's fate; there is nothing to reconnect to)"
                     .into());
             }
-            let query_mode = query_mode.unwrap_or(QueryMode::Snapshot);
-            if staleness.is_some() && query_mode != QueryMode::Streaming {
-                return Err("--staleness requires --query-mode streaming".into());
-            }
             Ok(Command::Components {
                 path,
                 workers: workers.unwrap_or(2),
@@ -492,7 +467,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 buffering: buffering.unwrap_or(BufferingArg::Leaf),
                 dir,
                 forest,
-                query_mode,
                 query_threads,
                 staleness,
                 threshold,
@@ -537,18 +511,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 "restore" => {
                     let path = PathBuf::from(it.next().ok_or("checkpoint restore needs a path")?);
                     let mut forest = false;
-                    let mut query_mode = None;
                     let mut query_threads = None;
                     let mut io_backend = None;
                     while let Some(arg) = it.next() {
                         match arg.as_str() {
                             "--forest" => set_switch(&mut forest, arg)?,
-                            "--query-mode" => {
-                                let v = parse_query_mode(
-                                    it.next().ok_or("--query-mode needs snapshot|streaming")?,
-                                )?;
-                                set_once(&mut query_mode, v, arg)?;
-                            }
                             "--query-threads" => {
                                 set_once(&mut query_threads, parse_query_threads(&mut it)?, arg)?;
                             }
@@ -561,13 +528,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             other => return Err(format!("unknown flag {other}")),
                         }
                     }
-                    Ok(Command::CheckpointRestore {
-                        path,
-                        forest,
-                        query_mode: query_mode.unwrap_or(QueryMode::Snapshot),
-                        query_threads,
-                        io_backend,
-                    })
+                    Ok(Command::CheckpointRestore { path, forest, query_threads, io_backend })
                 }
                 other => Err(format!("unknown checkpoint action {other} (want save|restore)")),
             }
@@ -740,7 +701,6 @@ fn build_config(
     store: StoreArg,
     buffering: BufferingArg,
     dir: &Option<PathBuf>,
-    query_mode: QueryMode,
     query_threads: Option<usize>,
     staleness: Option<u64>,
     threshold: Option<u32>,
@@ -749,7 +709,6 @@ fn build_config(
     let mut config = GzConfig::in_ram(num_nodes);
     config.num_workers = workers;
     config.store = store_backend(store, dir)?;
-    config.query_mode = query_mode;
     config.query_threads = query_threads;
     config.query_staleness = staleness;
     config.sketch_threshold = threshold.unwrap_or(0);
@@ -799,7 +758,6 @@ fn components_sharded(
     buffering: BufferingArg,
     dir: &Option<PathBuf>,
     forest: bool,
-    query_mode: QueryMode,
     query_threads: Option<usize>,
     staleness: Option<u64>,
     threshold: Option<u32>,
@@ -838,7 +796,6 @@ fn components_sharded(
     let mut config = ShardConfig::in_ram(header.num_vertices, num_shards);
     config.workers_per_shard = workers;
     config.store = store_backend(store, dir)?;
-    config.query_mode = query_mode;
     config.query_threads = query_threads;
     config.query_staleness = staleness;
     config.sketch_threshold = threshold.unwrap_or(0);
@@ -1034,7 +991,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             buffering,
             dir,
             forest,
-            query_mode,
             query_threads,
             staleness,
             threshold,
@@ -1054,7 +1010,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     buffering,
                     &dir,
                     forest,
-                    query_mode,
                     query_threads,
                     staleness,
                     threshold,
@@ -1075,7 +1030,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 store,
                 buffering,
                 &dir,
-                query_mode,
                 query_threads,
                 staleness,
                 threshold,
@@ -1147,13 +1101,12 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 ckpt.seed,
             ))
         }
-        Command::CheckpointRestore { path, forest, query_mode, query_threads, io_backend } => {
+        Command::CheckpointRestore { path, forest, query_threads, io_backend } => {
             let header = GraphZeppelin::checkpoint_header(&path).map_err(|e| e.to_string())?;
             let mut config = GzConfig::in_ram(header.num_nodes);
             config.seed = header.seed;
             config.num_rounds = Some(header.rounds);
             config.num_columns = header.columns;
-            config.query_mode = query_mode;
             config.query_threads = query_threads;
             config.io.kind = io_backend.unwrap_or_default();
             let mut gz =
@@ -1323,31 +1276,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_query_mode_flag() {
-        match parse_components("components s.gzs --query-mode streaming") {
-            Command::Components { query_mode, .. } => {
-                assert_eq!(query_mode, QueryMode::Streaming);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_components("components s.gzs --query-mode snapshot --shards 2") {
-            Command::Components { query_mode, shards, .. } => {
-                assert_eq!(query_mode, QueryMode::Snapshot);
-                assert_eq!(shards, Some(2));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Default is snapshot; bad values are refused.
-        match parse_components("components s.gzs") {
-            Command::Components { query_mode, .. } => {
-                assert_eq!(query_mode, QueryMode::Snapshot);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("components s.gzs --query-mode turbo")).is_err());
-    }
-
-    #[test]
     fn parses_query_threads_flag() {
         match parse_components("components s.gzs --query-threads 8") {
             Command::Components { query_threads, .. } => assert_eq!(query_threads, Some(8)),
@@ -1359,11 +1287,9 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Composes with the other query flags and with sharding.
-        match parse_components(
-            "components s.gzs --query-mode streaming --query-threads 4 --shards 2",
-        ) {
-            Command::Components { query_mode, query_threads, shards, .. } => {
-                assert_eq!(query_mode, QueryMode::Streaming);
+        match parse_components("components s.gzs --staleness 3 --query-threads 4 --shards 2") {
+            Command::Components { staleness, query_threads, shards, .. } => {
+                assert_eq!(staleness, Some(3));
                 assert_eq!(query_threads, Some(4));
                 assert_eq!(shards, Some(2));
             }
@@ -1459,7 +1385,7 @@ mod tests {
             "components s.gzs --forest --forest",
             "components s.gzs --store ram --store disk",
             "components s.gzs --disk /tmp/d --dir /tmp/e",
-            "components s.gzs --query-mode streaming --staleness 5 --staleness 6",
+            "components s.gzs --staleness 5 --staleness 6",
             "checkpoint save c.gzc --from a.gzs --from b.gzs",
             "checkpoint restore c.gzc --forest --forest",
             "components s.gzs --threshold 4 --threshold 8",
@@ -1485,18 +1411,8 @@ mod tests {
 
     #[test]
     fn parses_staleness_flag() {
-        // --staleness needs the streaming query engine (the snapshot path
-        // folds fresh state by construction, so the knob would silently
-        // not take effect).
-        match parse_components("components s.gzs --query-mode streaming --staleness 100") {
-            Command::Components { staleness, query_mode, .. } => {
-                assert_eq!(staleness, Some(100));
-                assert_eq!(query_mode, QueryMode::Streaming);
-            }
-            other => panic!("{other:?}"),
-        }
         // Zero is meaningful: reseal on every query.
-        match parse_components("components s.gzs --query-mode streaming --staleness 0") {
+        match parse_components("components s.gzs --staleness 0") {
             Command::Components { staleness, .. } => assert_eq!(staleness, Some(0)),
             other => panic!("{other:?}"),
         }
@@ -1505,12 +1421,17 @@ mod tests {
             Command::Components { staleness, .. } => assert_eq!(staleness, None),
             other => panic!("{other:?}"),
         }
-        let err = parse_args(&argv("components s.gzs --staleness 5")).unwrap_err();
-        assert!(err.contains("requires --query-mode streaming"), "{err}");
-        let err =
-            parse_args(&argv("components s.gzs --query-mode snapshot --staleness 5")).unwrap_err();
-        assert!(err.contains("requires --query-mode streaming"), "{err}");
         assert!(parse_args(&argv("components s.gzs --staleness lots")).is_err());
+    }
+
+    #[test]
+    fn staleness_is_accepted_on_its_own() {
+        // Every query streams round slices, so the epoch-reuse budget
+        // needs no companion flag.
+        match parse_components("components s.gzs --staleness 100") {
+            Command::Components { staleness, .. } => assert_eq!(staleness, Some(100)),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1674,8 +1595,7 @@ mod tests {
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
         for shards in [None, Some(2)] {
             let mut cmd = components_cmd(&path, shards);
-            if let Command::Components { query_mode, staleness, .. } = &mut cmd {
-                *query_mode = QueryMode::Streaming;
+            if let Command::Components { staleness, .. } = &mut cmd {
                 *staleness = Some(u64::MAX);
             }
             let got = execute(cmd).unwrap();
@@ -1698,9 +1618,8 @@ mod tests {
         for threads in [1usize, 3] {
             for shards in [None, Some(2)] {
                 let mut cmd = components_cmd(&path, shards);
-                if let Command::Components { query_threads, query_mode, .. } = &mut cmd {
+                if let Command::Components { query_threads, .. } = &mut cmd {
                     *query_threads = Some(threads);
-                    *query_mode = QueryMode::Streaming;
                 }
                 let got = execute(cmd).unwrap();
                 let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
@@ -1721,11 +1640,10 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_args(&argv("checkpoint restore c.gzc --forest --query-mode streaming")).unwrap(),
+            parse_args(&argv("checkpoint restore c.gzc --forest")).unwrap(),
             Command::CheckpointRestore {
                 path: PathBuf::from("c.gzc"),
                 forest: true,
-                query_mode: QueryMode::Streaming,
                 query_threads: None,
                 io_backend: None,
             }
@@ -1733,7 +1651,7 @@ mod tests {
         // Defaults.
         assert!(matches!(
             parse_args(&argv("checkpoint restore c.gzc")).unwrap(),
-            Command::CheckpointRestore { forest: false, query_mode: QueryMode::Snapshot, .. }
+            Command::CheckpointRestore { forest: false, query_threads: None, .. }
         ));
         // Malformed forms are refused.
         assert!(parse_args(&argv("checkpoint")).is_err(), "missing action");
@@ -1763,47 +1681,47 @@ mod tests {
         .unwrap();
         assert!(saved.contains("32 nodes"), "{saved}");
 
-        // The restored answer must match running components directly, in
-        // both query modes.
+        // The restored answer must match running components directly.
         let direct = execute(components_cmd(&stream, None)).unwrap();
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-        for query_mode in [QueryMode::Snapshot, QueryMode::Streaming] {
-            let restored = execute(Command::CheckpointRestore {
-                path: ckpt.to_path_buf(),
-                forest: false,
-                query_mode,
-                query_threads: None,
-                io_backend: None,
-            })
-            .unwrap();
-            assert_eq!(count(&restored), count(&direct), "{query_mode:?}");
-        }
+        let restored = execute(Command::CheckpointRestore {
+            path: ckpt.to_path_buf(),
+            forest: false,
+            query_threads: None,
+            io_backend: None,
+        })
+        .unwrap();
+        assert_eq!(count(&restored), count(&direct));
+    }
+
+    /// Exact component count of a stream file's final graph.
+    fn oracle_components(path: &gz_testutil::TempPath) -> usize {
+        let mut reader = StreamReader::open(path.path()).unwrap();
+        let num_vertices = reader.header().num_vertices;
+        let updates = reader.read_all().unwrap();
+        let edges = gz_stream::update::validate_stream(num_vertices, updates).unwrap();
+        let labels = gz_graph::connectivity::components_from_edges(
+            num_vertices as usize,
+            edges.iter().map(|e| (e.u(), e.v())),
+        );
+        gz_graph::connectivity::count_components(&labels)
     }
 
     #[test]
-    fn streaming_query_mode_components_match_snapshot() {
-        let path = tmp("qmode");
+    fn components_match_exact_oracle() {
+        let path = tmp("oracle");
         execute(Command::Generate {
             dataset: DatasetArg::Kron(5),
             seed: 6,
             out: path.to_path_buf(),
         })
         .unwrap();
-        let mut streaming = components_cmd(&path, None);
-        if let Command::Components { query_mode, .. } = &mut streaming {
-            *query_mode = QueryMode::Streaming;
-        }
-        let a = execute(components_cmd(&path, None)).unwrap();
-        let b = execute(streaming).unwrap();
-        assert_eq!(a, b);
-        // And sharded streaming agrees too.
-        let mut sharded = components_cmd(&path, Some(3));
-        if let Command::Components { query_mode, .. } = &mut sharded {
-            *query_mode = QueryMode::Streaming;
-        }
-        let c = execute(sharded).unwrap();
+        let truth = oracle_components(&path).to_string();
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-        assert_eq!(count(&a), count(&c));
+        for shards in [None, Some(3)] {
+            let out = execute(components_cmd(&path, shards)).unwrap();
+            assert_eq!(count(&out), truth, "shards={shards:?}: {out}");
+        }
     }
 
     #[test]
@@ -1940,7 +1858,6 @@ mod tests {
             buffering: BufferingArg::Leaf,
             dir: None,
             forest: false,
-            query_mode: QueryMode::Snapshot,
             query_threads: None,
             staleness: None,
             threshold: None,
@@ -2071,13 +1988,11 @@ mod tests {
         for &kind in kinds {
             let workdir = gz_testutil::TempPath::new("gz-cli-io-backend", ".d");
             let mut cmd = components_cmd(&path, None);
-            if let Command::Components { store, dir, io_backend, stats, query_mode, .. } = &mut cmd
-            {
+            if let Command::Components { store, dir, io_backend, stats, .. } = &mut cmd {
                 *store = StoreArg::Disk;
                 *dir = Some(workdir.to_path_buf());
                 *io_backend = Some(kind);
                 *stats = true;
-                *query_mode = QueryMode::Streaming;
             }
             let out = execute(cmd).unwrap();
             assert_eq!(count(&out), count(&reference), "{kind:?}");
@@ -2106,7 +2021,6 @@ mod tests {
         let restored = execute(Command::CheckpointRestore {
             path: ckpt.to_path_buf(),
             forest: false,
-            query_mode: QueryMode::Snapshot,
             query_threads: None,
             io_backend: Some(IoBackendKind::Pread),
         })
@@ -2138,7 +2052,6 @@ mod tests {
             buffering: BufferingArg::Leaf,
             dir: None,
             forest: true,
-            query_mode: QueryMode::Snapshot,
             query_threads: None,
             staleness: None,
             threshold: None,

@@ -53,8 +53,9 @@ pub struct BoruvkaOutcome {
     /// only when the round budget is exhausted).
     pub sketch_failures: usize,
     /// Peak sketch bytes resident during the query: supernode accumulators
-    /// plus whatever the source buffered (a full materialization for the
-    /// snapshot path; a round's prefetch window for the streaming paths).
+    /// plus whatever the source buffered (a full materialization for
+    /// `MaterializedSource`; a round's prefetch window for the store and
+    /// gather sources).
     pub peak_sketch_bytes: usize,
 }
 

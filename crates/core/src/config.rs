@@ -71,21 +71,6 @@ pub enum StoreBackend {
     },
 }
 
-/// How `spanning_forest()` reads sketches out of the store (paper §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryMode {
-    /// Materialize every node's full sketch stack in RAM before running
-    /// Boruvka — simple, but peak query memory is `O(V × full sketch)`,
-    /// which forfeits a disk store's RAM budget at query time.
-    #[default]
-    Snapshot,
-    /// Stream round slices out of the store round by round (group-
-    /// sequential with prefetch on disk), folding them into per-supernode
-    /// accumulators: peak query memory is `O(live components × one round)`
-    /// plus the prefetch window. Labels are bit-identical to `Snapshot`.
-    Streaming,
-}
-
 /// Batch-level locking discipline (paper §5.1's critical-section
 /// minimization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,17 +108,14 @@ pub struct GzConfig {
     pub store: StoreBackend,
     /// Batch-level locking discipline.
     pub locking: LockingStrategy,
-    /// How queries read sketches out of the store.
-    pub query_mode: QueryMode,
     /// Worker threads the Borůvka query engine folds, samples, and (on
     /// disk stores) reads with; `None` = the ingestion worker count
     /// (`num_workers`). Answers are bit-identical at any thread count —
     /// this is purely a performance knob (DESIGN.md §10).
     pub query_threads: Option<usize>,
-    /// Bounded staleness for streaming queries (DESIGN.md §11). `None`
-    /// (the default) keeps the stop-the-world behavior: every query
-    /// flushes and reads the freshest state. `Some(n)` lets a streaming
-    /// query reuse the last sealed epoch as long as at most `n` updates
+    /// Bounded staleness for queries (DESIGN.md §11). `None` (the
+    /// default) keeps the stop-the-world behavior: every query flushes
+    /// and reads the freshest state. `Some(n)` lets a query reuse the last sealed epoch as long as at most `n` updates
     /// were ingested since its seal — queries then run concurrently with
     /// ingestion and never stall it, at the cost of answers up to `n`
     /// updates old.
@@ -167,7 +149,6 @@ impl GzConfig {
             buffering: BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
             store: StoreBackend::Ram,
             locking: LockingStrategy::DeltaSketch,
-            query_mode: QueryMode::default(),
             query_threads: None,
             query_staleness: None,
             sketch_threshold: 0,

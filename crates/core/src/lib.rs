@@ -79,9 +79,7 @@ pub use boruvka::{
     boruvka_spanning_forest_parallel, BoruvkaOutcome, RoundSink,
 };
 pub use checkpoint::{CheckpointHeader, ServeManifest, ShardCheckpointHeader, UpdateWal};
-pub use config::{
-    BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, QueryMode, StoreBackend,
-};
+pub use config::{BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, StoreBackend};
 pub use edge_connectivity::{ForestCertificate, KForestSketcher};
 pub use error::{GzError, TransportError, TransportErrorKind};
 pub use msf::{MsfSketcher, WeightedForest};

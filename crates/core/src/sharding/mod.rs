@@ -21,16 +21,14 @@
 //!
 //! The routing contract is unchanged: shard `i` owns every vertex `v` with
 //! `v % num_shards == i`, each update touches at most two shards, and
-//! shards never communicate until query time. Queries run in either
-//! [`QueryMode`]: snapshot mode gathers every node's full sketch stack at
-//! the coordinator and runs the ordinary Boruvka computation; streaming
-//! mode gathers one `GatherRound` frame per Borůvka round (a `rounds`-fold
-//! smaller message) and folds the slices straight into the round-driven
-//! engine, so the coordinator never materializes the universe. The crucial
-//! invariant — proved by the equivalence suite and the multi-process
-//! example — is that a sharded system's gathered sketch state is
-//! *bit-identical* to a single-node system's on the same stream, and both
-//! query modes return bit-identical answers.
+//! shards never communicate until query time. A query gathers one
+//! `GatherRound` frame per Borůvka round (a `rounds`-fold smaller message
+//! than the full sketch stack) and folds the slices straight into the
+//! round-driven engine, so the coordinator never materializes the
+//! universe. The crucial invariant — proved by the equivalence suite and
+//! the multi-process example — is that a sharded system's gathered sketch
+//! state is *bit-identical* to a single-node system's on the same stream,
+//! and so are its answers.
 
 mod pipeline;
 mod router;
@@ -44,10 +42,10 @@ pub use transport::{
     ShardTransport, SocketTransport, TransportTimeouts,
 };
 
-use crate::boruvka::{boruvka_rounds_parallel, boruvka_spanning_forest_parallel, BoruvkaOutcome};
-use crate::config::{GutterCapacity, LockingStrategy, QueryMode, StoreBackend};
+use crate::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome};
+use crate::config::{GutterCapacity, LockingStrategy, StoreBackend};
 use crate::error::GzError;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
+use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sparse::SparseSet;
 use crate::store::io_backend::IoBackendConfig;
 use crate::store::SketchSource;
@@ -85,10 +83,6 @@ pub struct ShardConfig {
     pub sketch_threshold: u32,
     /// Router gutter capacity (the inter-shard batch size knob).
     pub router_capacity: GutterCapacity,
-    /// How the coordinator gathers sketches at query time (coordinator-side
-    /// only: not part of the parameter digest, since it cannot change the
-    /// sketch state or the answers).
-    pub query_mode: QueryMode,
     /// Worker threads the coordinator's Borůvka engine folds and samples
     /// with; `None` = the per-shard ingestion worker count. Coordinator-side
     /// only — answers are bit-identical at any thread count.
@@ -135,7 +129,6 @@ impl ShardConfig {
             store: StoreBackend::Ram,
             sketch_threshold: 0,
             router_capacity: GutterCapacity::SketchFactor(0.5),
-            query_mode: QueryMode::default(),
             query_threads: None,
             query_staleness: None,
             io: IoBackendConfig::default(),
@@ -219,7 +212,6 @@ pub struct ShardedGraphZeppelin {
     local_workers: Vec<JoinHandle<Result<ShardServeStats, GzError>>>,
     num_nodes: u64,
     updates: u64,
-    query_mode: QueryMode,
     query_threads: usize,
     /// Last sealed epoch and the update count at its seal — the bounded-
     /// staleness cache (`ShardConfig::query_staleness`).
@@ -288,7 +280,6 @@ impl ShardedGraphZeppelin {
             local_workers: Vec::new(),
             num_nodes: config.num_nodes,
             updates: 0,
-            query_mode: config.query_mode,
             query_threads: config.query_threads(),
             cached_epoch: None,
             query_staleness: config.query_staleness,
@@ -425,48 +416,16 @@ impl ShardedGraphZeppelin {
             .collect()
     }
 
-    /// Gather and deserialize all shards' sketches.
-    fn gather(&mut self) -> Result<Vec<Option<CubeNodeSketch>>, GzError> {
-        let params = Arc::clone(&self.params);
-        Ok(self
-            .gather_serialized()?
-            .into_iter()
-            .map(|bytes| Some(params.deserialize_node_sketch(&bytes)))
-            .collect())
-    }
-
-    /// Query a spanning forest in the configured [`QueryMode`]; both modes
-    /// return bit-identical labels and forests.
-    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        match self.query_mode {
-            QueryMode::Snapshot => self.spanning_forest_snapshot(),
-            QueryMode::Streaming => self.spanning_forest_streaming(),
-        }
-    }
-
-    /// Snapshot-mode query: gather every node's full sketch stack at the
-    /// coordinator, then run ordinary Boruvka over the materialization.
-    pub fn spanning_forest_snapshot(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let sketches = self.gather()?;
-        boruvka_spanning_forest_parallel(
-            sketches,
-            self.num_nodes,
-            self.params.rounds(),
-            self.query_threads,
-        )
-    }
-
-    /// Streaming-mode query: each Borůvka round gathers only that round's
-    /// sketch slices from the shards (`GatherRound` frames, `rounds`-fold
-    /// smaller than a full gather), so the coordinator never materializes
-    /// the whole universe. Bit-identical to
-    /// [`Self::spanning_forest_snapshot`].
+    /// Query a spanning forest: each Borůvka round gathers only that
+    /// round's sketch slices from the shards (`GatherRound` frames,
+    /// `rounds`-fold smaller than a full gather), so the coordinator never
+    /// materializes the whole universe.
     ///
     /// With `ShardConfig::query_staleness = Some(n)` the query answers from
     /// the last sealed epoch while it is at most `n` updates stale,
     /// resealing only when the budget is blown — the sharded form of
-    /// [`crate::GraphZeppelin::spanning_forest_streaming`]'s knob.
-    pub fn spanning_forest_streaming(&mut self) -> Result<BoruvkaOutcome, GzError> {
+    /// [`crate::GraphZeppelin::spanning_forest`]'s knob.
+    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
         let Some(max_lag) = self.query_staleness else {
             self.flush()?;
             let params = Arc::clone(&self.params);
@@ -1037,40 +996,33 @@ mod tests {
     }
 
     #[test]
-    fn streaming_query_bit_identical_to_snapshot_across_transports() {
+    fn query_matches_oracle_across_transports() {
+        use gz_graph::connectivity::{connected_components_dsu, is_spanning_forest};
         let n = 40u64;
         let updates = demo_updates(n as u32, 300, 11);
+        let mut mirror = gz_graph::AdjacencyList::new(n as usize);
+        for &(u, v, _) in &updates {
+            mirror.toggle(gz_graph::Edge::new(u, v));
+        }
+        let truth = connected_components_dsu(&mirror);
         type Maker = fn(ShardConfig) -> Result<ShardedGraphZeppelin, GzError>;
         let makers: [Maker; 2] =
             [ShardedGraphZeppelin::in_process, ShardedGraphZeppelin::local_socket];
+        let mut forests = Vec::new();
         for make in makers {
-            let mut sys = make(ShardConfig::in_ram(n, 3)).unwrap();
+            let config = ShardConfig::in_ram(n, 3);
+            let full_sketches = n as usize * config.params().node_sketch_bytes();
+            let mut sys = make(config).unwrap();
             sys.ingest(updates.iter().copied()).unwrap();
-            let snap = sys.spanning_forest_snapshot().unwrap();
-            let stream = sys.spanning_forest_streaming().unwrap();
-            assert_eq!(snap.labels, stream.labels);
-            assert_eq!(snap.forest, stream.forest);
-            assert_eq!(snap.rounds_used, stream.rounds_used);
+            let got = sys.spanning_forest().unwrap();
+            assert_eq!(got.labels, truth);
+            assert!(is_spanning_forest(&mirror, &got.forest));
             // A round frame is `rounds`-fold smaller than the full gather.
-            assert!(stream.peak_sketch_bytes < snap.peak_sketch_bytes);
+            assert!(got.peak_sketch_bytes < full_sketches);
+            forests.push((got.forest, got.rounds_used));
             sys.shutdown().unwrap();
         }
-    }
-
-    #[test]
-    fn streaming_query_mode_is_routable_from_config() {
-        let n = 24u64;
-        let updates = demo_updates(n as u32, 100, 13);
-        let mut config = ShardConfig::in_ram(n, 2);
-        config.query_mode = QueryMode::Streaming;
-        let mut streaming = ShardedGraphZeppelin::in_process(config).unwrap();
-        streaming.ingest(updates.iter().copied()).unwrap();
-        let mut snapshot = ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, 2)).unwrap();
-        snapshot.ingest(updates.iter().copied()).unwrap();
-        assert_eq!(
-            streaming.connected_components().unwrap(),
-            snapshot.connected_components().unwrap()
-        );
+        assert_eq!(forests[0], forests[1], "transports must agree bit for bit");
     }
 
     #[test]
@@ -1086,7 +1038,7 @@ mod tests {
             sys.ingest(updates.iter().copied()).unwrap();
             let epoch = sys.begin_epoch().unwrap();
             // Stop-the-world reference taken right after the seal.
-            let reference = sys.spanning_forest_streaming().unwrap();
+            let reference = sys.spanning_forest().unwrap();
             sys.ingest(more.iter().copied()).unwrap();
             sys.flush().unwrap();
             // The epoch still answers as of the seal, and repeatably so.
@@ -1107,7 +1059,6 @@ mod tests {
     fn sharded_staleness_knob_reuses_then_reseals() {
         let n = 24u64;
         let mut config = ShardConfig::in_ram(n, 2);
-        config.query_mode = QueryMode::Streaming;
         config.query_staleness = Some(10);
         let mut sys = ShardedGraphZeppelin::in_process(config).unwrap();
         sys.update(0, 1, false).unwrap();
@@ -1140,8 +1091,8 @@ mod tests {
         assert_eq!(dense.gather_serialized().unwrap(), hybrid.gather_serialized().unwrap());
         // Streaming gathers ship tagged frames (sparse sets for
         // sub-threshold nodes); answers must still be bit-identical.
-        let a = dense.spanning_forest_streaming().unwrap();
-        let b = hybrid.spanning_forest_streaming().unwrap();
+        let a = dense.spanning_forest().unwrap();
+        let b = hybrid.spanning_forest().unwrap();
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.forest, b.forest);
         assert_eq!(a.rounds_used, b.rounds_used);
@@ -1158,7 +1109,7 @@ mod tests {
             sys.update(0, i, false).unwrap();
         }
         let epoch = sys.begin_epoch().unwrap();
-        let reference = sys.spanning_forest_streaming().unwrap();
+        let reference = sys.spanning_forest().unwrap();
         // Post-seal churn pushes node 0 over τ — the pinned answer must
         // still serve the sealed sparse sets.
         for i in 4..12u32 {

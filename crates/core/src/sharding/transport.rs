@@ -172,7 +172,10 @@ pub trait ShardTransport {
     /// distributed form of the paper's `cleanup()`).
     fn flush(&mut self) -> Result<(), GzError>;
 
-    /// Collect every shard's serialized sketches at the coordinator.
+    /// Collect every shard's serialized sketches at the coordinator (the
+    /// byte-level state oracle behind
+    /// [`super::ShardedGraphZeppelin::gather_serialized`]; queries gather
+    /// round slices instead).
     fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError>;
 
     /// Collect only round `round`'s slice of every shard's sketches — the

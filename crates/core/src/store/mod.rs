@@ -497,9 +497,10 @@ pub trait SketchSource {
     }
 }
 
-/// The snapshot-mode source: a fully materialized `V`-sized sketch vector
-/// (what [`SketchStore::snapshot`] produces). Resident bytes are the whole
-/// materialization — the quantity the streaming sources exist to avoid.
+/// A fully materialized `V`-sized sketch vector (what
+/// [`SketchStore::snapshot`] produces), used by the §3.1 extension
+/// sketchers. Resident bytes are the whole materialization — the quantity
+/// the streaming sources exist to avoid.
 pub struct MaterializedSource<S: L0Sampler> {
     sketches: Vec<Option<NodeSketch<S>>>,
     rounds: usize,

@@ -2,11 +2,11 @@
 //! (`edge_update()` / `list_spanning_forest()`, Figures 8–9).
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
-use crate::config::{BufferStrategy, GzConfig, QueryMode, StoreBackend};
+use crate::config::{BufferStrategy, GzConfig, StoreBackend};
 use crate::error::GzError;
 use crate::ingest::{IngestCounters, WorkerPool};
 use crate::node_sketch::{encode_other, SketchParams};
-use crate::store::{MaterializedSource, RepStats, SketchEpoch, SketchStore, StoreRoundSource};
+use crate::store::{RepStats, SketchEpoch, SketchStore, StoreRoundSource};
 use gz_graph::Edge;
 use gz_gutters::{BufferingSystem, GutterTree, GutterTreeConfig, IoStats, LeafGutters, WorkQueue};
 use std::sync::Arc;
@@ -197,39 +197,17 @@ impl GraphZeppelin {
 
     /// Compute a spanning forest of the current graph (paper
     /// `list_spanning_forest()`); leaves the system ready for more updates.
-    /// Reads the store in the configured [`QueryMode`]; both modes return
-    /// bit-identical labels and forests.
-    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        match self.config.query_mode {
-            QueryMode::Snapshot => self.spanning_forest_snapshot(),
-            QueryMode::Streaming => self.spanning_forest_streaming(),
-        }
-    }
-
-    /// Snapshot-mode query: materialize every node's full sketch stack,
-    /// then run Boruvka over the copy (peak `O(V × full sketch)` RAM). The
-    /// fold and sampling run on `query_threads` workers.
-    pub fn spanning_forest_snapshot(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        self.flush();
-        let sketches = self.store.snapshot();
-        let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
-        let pool = self.query_pool();
-        let mut source = MaterializedSource::new(sketches);
-        boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool)
-    }
-
-    /// Streaming-mode query: fold round slices straight out of the store,
-    /// keeping only per-live-supernode accumulators resident — partitioned
-    /// across `query_threads` workers (slot ranges in RAM; concurrent
-    /// positioned group reads on disk, single-threaded prefetch pipeline at
-    /// one thread). Bit-identical to [`Self::spanning_forest_snapshot`] at
-    /// any thread count.
+    /// The query streams round slices straight out of the store, keeping
+    /// only per-live-supernode accumulators resident — partitioned across
+    /// `query_threads` workers (slot ranges in RAM; concurrent positioned
+    /// group reads on disk, single-threaded prefetch pipeline at one
+    /// thread). Answers are bit-identical at any thread count.
     ///
     /// With `config.query_staleness = Some(n)`, the query reuses the last
     /// sealed epoch while it is at most `n` updates old (sealing a fresh
     /// one otherwise) and folds it through the epoch read path — ingestion
     /// is never stopped, and the answer reflects the sealed cut.
-    pub fn spanning_forest_streaming(&mut self) -> Result<BoruvkaOutcome, GzError> {
+    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
         let Some(max_lag) = self.config.query_staleness else {
             self.flush();
             let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
@@ -519,25 +497,18 @@ mod tests {
     }
 
     #[test]
-    fn streaming_query_bit_identical_to_snapshot() {
+    fn query_matches_exact_oracle() {
+        use gz_graph::connectivity::{connected_components_dsu, is_spanning_forest};
+        let edges = [(0u32, 1u32), (1, 2), (2, 3), (5, 6), (8, 9), (9, 10), (10, 8)];
         let mut gz = GraphZeppelin::new(tiny_config(24)).unwrap();
-        for &(u, v) in &[(0u32, 1u32), (1, 2), (2, 3), (5, 6), (8, 9), (9, 10), (10, 8)] {
+        for &(u, v) in &edges {
             gz.edge_update(u, v);
         }
-        let snap = gz.spanning_forest_snapshot().unwrap();
-        let stream = gz.spanning_forest_streaming().unwrap();
-        assert_eq!(snap.labels, stream.labels);
-        assert_eq!(snap.forest, stream.forest);
-        assert_eq!(snap.rounds_used, stream.rounds_used);
-        assert_eq!(snap.sketch_failures, stream.sketch_failures);
-        // And the configured mode routes to the same answers.
-        let mut c = tiny_config(24);
-        c.query_mode = crate::config::QueryMode::Streaming;
-        let mut gz2 = GraphZeppelin::new(c).unwrap();
-        for &(u, v) in &[(0u32, 1u32), (1, 2), (2, 3), (5, 6), (8, 9), (9, 10), (10, 8)] {
-            gz2.edge_update(u, v);
-        }
-        assert_eq!(gz2.spanning_forest().unwrap().labels, snap.labels);
+        let mirror = gz_graph::AdjacencyList::from_edges(24, edges);
+        let got = gz.spanning_forest().unwrap();
+        assert_eq!(got.labels, connected_components_dsu(&mirror));
+        assert!(is_spanning_forest(&mirror, &got.forest));
+        assert_eq!(got.sketch_failures, 0);
     }
 
     #[test]
@@ -553,14 +524,13 @@ mod tests {
         for i in 0..63u32 {
             gz.edge_update(i, i + 1);
         }
-        let snap = gz.spanning_forest_snapshot().unwrap();
-        let stream = gz.spanning_forest_streaming().unwrap();
-        assert_eq!(snap.labels, stream.labels);
+        let got = gz.spanning_forest().unwrap();
+        assert_eq!(got.labels, vec![0; 64], "a path is one component");
+        let full_sketches = 64 * gz.params().node_sketch_bytes();
         assert!(
-            stream.peak_sketch_bytes < snap.peak_sketch_bytes,
-            "streaming resident {} must undercut snapshot {}",
-            stream.peak_sketch_bytes,
-            snap.peak_sketch_bytes
+            got.peak_sketch_bytes < full_sketches,
+            "streaming resident {} must undercut all {full_sketches} sketch bytes",
+            got.peak_sketch_bytes
         );
     }
 
@@ -594,11 +564,8 @@ mod tests {
         assert_eq!(stats.promoted, 1, "only the hub crosses τ");
         assert_eq!(stats.sparse, 63);
         assert!(hybrid.sketch_bytes() * 5 <= dense.sketch_bytes(), "≥5× resident reduction");
-        // Streaming queries synthesize sparse nodes' slices by replay.
-        let snap = hybrid.spanning_forest_snapshot().unwrap();
-        let stream = hybrid.spanning_forest_streaming().unwrap();
-        assert_eq!(snap.labels, stream.labels);
-        assert_eq!(snap.forest, stream.forest);
+        // Queries synthesize sparse nodes' slices by replay.
+        assert_eq!(a.spanning_forest(), b.spanning_forest());
     }
 
     #[test]

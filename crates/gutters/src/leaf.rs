@@ -85,10 +85,10 @@ impl LeafGutters {
 
 impl BufferingSystem for LeafGutters {
     fn insert(&mut self, dst: u32, other: u32) {
+        // No up-front reservation: a gutter grows with its contents, so a
+        // node touched once between emits costs a few bytes, not a
+        // capacity-sized buffer.
         let gutter = &mut self.gutters[dst as usize];
-        if gutter.capacity() == 0 {
-            gutter.reserve_exact(self.capacity);
-        }
         gutter.push(other);
         self.buffered += 1;
         if gutter.len() >= self.capacity {
@@ -173,6 +173,20 @@ mod tests {
         // Flushing an empty gutter emits nothing.
         g.flush_node(2);
         assert!(q.try_pop().is_none());
+    }
+
+    #[test]
+    fn partial_gutter_batch_is_sized_to_its_contents() {
+        let (mut g, q) = setup(2, 5072);
+        g.insert(0, 1);
+        g.force_flush();
+        let batch = q.try_pop().unwrap();
+        assert_eq!(batch.others, vec![1]);
+        assert!(
+            batch.others.capacity() <= 16,
+            "one buffered record allocated {} slots",
+            batch.others.capacity()
+        );
     }
 
     #[test]

@@ -8,8 +8,19 @@ use graph_zeppelin::{
     BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, LockingStrategy, ShardConfig,
     ShardedGraphZeppelin, StoreBackend,
 };
+use gz_graph::connectivity::{connected_components_dsu, is_spanning_forest};
+use gz_graph::{AdjacencyList, Edge};
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
+
+/// The exact final graph of a toggle stream: every update flips its edge.
+fn toggled_graph(n: u64, edges: impl IntoIterator<Item = (u32, u32)>) -> AdjacencyList {
+    let mut graph = AdjacencyList::new(n as usize);
+    for (u, v) in edges {
+        graph.toggle(Edge::new(u, v));
+    }
+    graph
+}
 
 fn labels_for(config: GzConfig, updates: &[gz_stream::EdgeUpdate]) -> Vec<u32> {
     let mut gz = GraphZeppelin::new(config).expect("valid config");
@@ -182,21 +193,22 @@ fn sharded_disk_store_bit_identical_to_unsharded() {
 
 #[test]
 fn streaming_query_bit_identical_across_stores_and_shard_counts() {
-    // The tentpole invariant: the round-driven streaming query must return
-    // labels AND forest bit-identical to the snapshot query, whatever
-    // serves the round slices — the RAM store, a disk store under a tight
-    // cache, or a shard fleet shipping per-round frames over either
-    // transport.
+    // The tentpole invariant: the round-driven query returns the exact
+    // connectivity of the stream's final graph, and a forest that is
+    // bit-identical whatever serves the round slices — the RAM store, a
+    // disk store under a tight cache, or a shard fleet shipping per-round
+    // frames over either transport.
     let (v, updates) = shared_stream();
+    let graph = toggled_graph(v, updates.iter().map(|upd| (upd.u, upd.v)));
+    let truth = connected_components_dsu(&graph);
 
     let mut single = GraphZeppelin::new(GzConfig::in_ram(v)).expect("single-node system");
     for upd in &updates {
         single.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
     }
-    let reference = single.spanning_forest_snapshot().expect("reference query");
-    let streamed = single.spanning_forest_streaming().expect("ram streaming query");
-    assert_eq!(reference.labels, streamed.labels, "ram streaming labels");
-    assert_eq!(reference.forest, streamed.forest, "ram streaming forest");
+    let reference = single.spanning_forest().expect("ram query");
+    assert_eq!(reference.labels, truth, "ram labels vs exact oracle");
+    assert!(is_spanning_forest(&graph, &reference.forest), "ram forest spans the graph");
 
     let dir = TempDir::new("gz-equiv-streamq");
     let mut disk = GzConfig::in_ram(v);
@@ -206,9 +218,9 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
     for upd in &updates {
         gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
     }
-    let streamed = gz.spanning_forest_streaming().expect("disk streaming query");
-    assert_eq!(reference.labels, streamed.labels, "disk streaming labels");
-    assert_eq!(reference.forest, streamed.forest, "disk streaming forest");
+    let streamed = gz.spanning_forest().expect("disk query");
+    assert_eq!(reference.labels, streamed.labels, "disk labels");
+    assert_eq!(reference.forest, streamed.forest, "disk forest");
 
     for shards in [1u32, 3] {
         for transport in [Transport::InProcess, Transport::Socket] {
@@ -216,7 +228,7 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
             for upd in &updates {
                 gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
             }
-            let streamed = gz.spanning_forest_streaming().expect("sharded streaming query");
+            let streamed = gz.spanning_forest().expect("sharded query");
             assert_eq!(
                 reference.labels, streamed.labels,
                 "labels diverged: {shards} shards over {transport:?}"
@@ -263,7 +275,7 @@ mod streaming_query_proptests {
                 ram.update(u, v, d);
             }
             ram.set_query_threads(1);
-            let reference = ram.spanning_forest_streaming().unwrap();
+            let reference = ram.spanning_forest().unwrap();
 
             let dir = TempDir::new("gz-equiv-parq-prop");
             let mut disk_cfg = GzConfig::in_ram(n);
@@ -289,7 +301,7 @@ mod streaming_query_proptests {
 
             for threads in [1usize, 2, 4] {
                 ram.set_query_threads(threads);
-                let got = ram.spanning_forest_streaming().unwrap();
+                let got = ram.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "ram labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "ram forest t={}", threads);
                 prop_assert_eq!(reference.rounds_used, got.rounds_used, "ram rounds t={}", threads);
@@ -299,7 +311,7 @@ mod streaming_query_proptests {
                 );
 
                 disk.set_query_threads(threads);
-                let got = disk.spanning_forest_streaming().unwrap();
+                let got = disk.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "disk labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "disk forest t={}", threads);
                 prop_assert_eq!(reference.rounds_used, got.rounds_used, "disk rounds t={}", threads);
@@ -310,7 +322,7 @@ mod streaming_query_proptests {
 
                 for (shards, gz) in shard_systems.iter_mut() {
                     gz.set_query_threads(threads);
-                    let got = gz.spanning_forest_streaming().unwrap();
+                    let got = gz.spanning_forest().unwrap();
                     prop_assert_eq!(
                         &reference.labels, &got.labels,
                         "labels {} shards t={}", shards, threads
@@ -331,23 +343,24 @@ mod streaming_query_proptests {
             }
         }
 
-        /// Streaming == snapshot, bit for bit, on arbitrary toggle streams
+        /// Queries return the exact connectivity of arbitrary toggle
+        /// streams, with a valid spanning forest that is bit-identical
         /// across Ram/Disk stores and shard counts {1, 3}.
         #[test]
-        fn streaming_matches_snapshot_everywhere(
+        fn streaming_matches_oracle_everywhere(
             n in 4u64..28,
             raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120)
         ) {
             let updates = toggles(n, raw);
+            let graph = toggled_graph(n, updates.iter().map(|&(u, v, _)| (u, v)));
 
             let mut ram = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             for &(u, v, d) in &updates {
                 ram.update(u, v, d);
             }
-            let reference = ram.spanning_forest_snapshot().unwrap();
-            let ram_stream = ram.spanning_forest_streaming().unwrap();
-            prop_assert_eq!(&reference.labels, &ram_stream.labels);
-            prop_assert_eq!(&reference.forest, &ram_stream.forest);
+            let reference = ram.spanning_forest().unwrap();
+            prop_assert_eq!(&reference.labels, &connected_components_dsu(&graph));
+            prop_assert!(is_spanning_forest(&graph, &reference.forest));
 
             let dir = TempDir::new("gz-equiv-streamq-prop");
             let mut disk = GzConfig::in_ram(n);
@@ -360,7 +373,7 @@ mod streaming_query_proptests {
             for &(u, v, d) in &updates {
                 gz.update(u, v, d);
             }
-            let disk_stream = gz.spanning_forest_streaming().unwrap();
+            let disk_stream = gz.spanning_forest().unwrap();
             prop_assert_eq!(&reference.labels, &disk_stream.labels);
             prop_assert_eq!(&reference.forest, &disk_stream.forest);
 
@@ -370,7 +383,7 @@ mod streaming_query_proptests {
                 for &(u, v, d) in &updates {
                     gz.update(u, v, d).unwrap();
                 }
-                let sharded = gz.spanning_forest_streaming().unwrap();
+                let sharded = gz.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &sharded.labels, "{} shards", shards);
                 prop_assert_eq!(&reference.forest, &sharded.forest, "{} shards", shards);
             }
@@ -518,7 +531,7 @@ mod hybrid_representation_proptests {
             let mut dense = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             ingest(&mut dense, &updates);
             let ref_state = dense.snapshot_serialized();
-            let reference = dense.spanning_forest_streaming().unwrap();
+            let reference = dense.spanning_forest().unwrap();
 
             for tau in [4u32, 16, 64] {
                 let mut ram_cfg = GzConfig::in_ram(n);
@@ -526,7 +539,7 @@ mod hybrid_representation_proptests {
                 let mut ram = GraphZeppelin::new(ram_cfg).unwrap();
                 ingest(&mut ram, &updates);
                 prop_assert_eq!(&ram.snapshot_serialized(), &ref_state, "ram state τ={}", tau);
-                let got = ram.spanning_forest_streaming().unwrap();
+                let got = ram.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "ram labels τ={}", tau);
                 prop_assert_eq!(&reference.forest, &got.forest, "ram forest τ={}", tau);
 
@@ -541,7 +554,7 @@ mod hybrid_representation_proptests {
                 let mut disk = GraphZeppelin::new(disk_cfg).unwrap();
                 ingest(&mut disk, &updates);
                 prop_assert_eq!(&disk.snapshot_serialized(), &ref_state, "disk state τ={}", tau);
-                let got = disk.spanning_forest_streaming().unwrap();
+                let got = disk.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "disk labels τ={}", tau);
                 prop_assert_eq!(&reference.forest, &got.forest, "disk forest τ={}", tau);
 
@@ -556,7 +569,7 @@ mod hybrid_representation_proptests {
                         &gz.gather_serialized().unwrap(), &ref_state,
                         "sharded state τ={} shards={}", tau, shards
                     );
-                    let got = gz.spanning_forest_streaming().unwrap();
+                    let got = gz.spanning_forest().unwrap();
                     prop_assert_eq!(
                         &reference.labels, &got.labels,
                         "sharded labels τ={} shards={}", tau, shards
@@ -587,7 +600,7 @@ mod hybrid_representation_proptests {
 
             let mut dense = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             ingest(&mut dense, prefix);
-            let reference = dense.spanning_forest_streaming().unwrap();
+            let reference = dense.spanning_forest().unwrap();
 
             let mut hybrid_cfg = GzConfig::in_ram(n);
             hybrid_cfg.sketch_threshold = 4;

@@ -87,10 +87,10 @@ fn gutter_tree_writes_are_batched() {
 #[test]
 fn streaming_query_io_bounded_under_constrained_cache() {
     // The low-RAM query path at a pinned cache budget (cache_groups = 2):
-    // a streaming query issues at most one group read per (group, round)
-    // pair — `num_groups × rounds_used` reads — and moves strictly fewer
-    // bytes than the snapshot query's full-store scan, while returning
-    // bit-identical answers.
+    // a query issues at most one group read per (group, round) pair —
+    // `num_groups × rounds_used` reads — moves strictly fewer bytes than a
+    // full-store scan, and keeps fewer bytes resident than every node's
+    // full sketch stack.
     let dataset = Dataset::kron(6);
     let stream = dataset.stream(5, &StreamifyConfig::default());
     let dir = scratch("stream-query");
@@ -101,7 +101,7 @@ fn streaming_query_io_bounded_under_constrained_cache() {
     let io = gz.store_io().unwrap();
 
     let (reads_before, bytes_before) = (io.reads(), io.bytes_read());
-    let streamed = gz.spanning_forest_streaming().unwrap();
+    let streamed = gz.spanning_forest().unwrap();
     let stream_reads = io.reads() - reads_before;
     let stream_bytes = io.bytes_read() - bytes_before;
 
@@ -114,20 +114,13 @@ fn streaming_query_io_bounded_under_constrained_cache() {
         streamed.rounds_used
     );
 
-    let bytes_before = io.bytes_read();
-    let snapshot = gz.spanning_forest_snapshot().unwrap();
-    let snap_bytes = io.bytes_read() - bytes_before;
-    assert_eq!(snapshot.labels, streamed.labels, "query modes must agree");
-    assert_eq!(snapshot.forest, streamed.forest, "query modes must agree");
+    // Reading every group once moves the whole dense store.
+    let full_scan = gz.sketch_bytes() as u64;
+    assert!(stream_bytes < full_scan, "streaming read {stream_bytes} bytes, full scan {full_scan}");
     assert!(
-        stream_bytes < snap_bytes,
-        "streaming read {stream_bytes} bytes, snapshot {snap_bytes}"
-    );
-    assert!(
-        streamed.peak_sketch_bytes < snapshot.peak_sketch_bytes,
-        "streaming resident {} must undercut snapshot {}",
-        streamed.peak_sketch_bytes,
-        snapshot.peak_sketch_bytes
+        streamed.peak_sketch_bytes < full_scan as usize,
+        "streaming resident {} must undercut all {full_scan} sketch bytes",
+        streamed.peak_sketch_bytes
     );
 }
 
@@ -144,8 +137,8 @@ fn query_scans_disk_store_once_per_snapshot() {
     let before = io.bytes_read();
     let _ = gz.connected_components().unwrap();
     let after = io.bytes_read();
-    // The snapshot reads each node group at most once: bounded by the full
-    // store size (plus a cache's worth of slack).
+    // A query reads at most one round slice of each node group per round:
+    // bounded by the full store size (plus a cache's worth of slack).
     let store_bytes = gz.sketch_bytes() as u64;
     assert!(
         after - before <= store_bytes + store_bytes / 4,
