@@ -33,10 +33,11 @@
 //! Both readers validate the *exact* file length against the header before
 //! allocating or deserializing anything: a truncated file, a short sketch
 //! payload, and trailing garbage all surface as a clean
-//! [`GzError::InvalidConfig`], never a panic or a partial restore. Shard
-//! checkpoints are written to a temp file and atomically renamed into
-//! place, so a crash mid-write can never regress the durable state a prior
-//! `CheckpointAck` promised.
+//! [`GzError::InvalidConfig`], never a panic or a partial restore. Every
+//! checkpoint and manifest is written to a temp file, fsynced, and
+//! atomically renamed into place (then the directory is fsynced), so a
+//! failed or crashed save never destroys the previous checkpoint — nor
+//! regresses the durable state a prior `CheckpointAck` promised.
 
 use crate::config::GzConfig;
 use crate::error::GzError;
@@ -94,6 +95,44 @@ fn check_payload_len(
     Ok(())
 }
 
+/// Durably replace `path` with the bytes `write` produces — the one write
+/// path of every checkpoint and manifest. The bytes land in a sibling
+/// `.tmp` file, which is fsynced and renamed over `path`; then the parent
+/// directory is fsynced so the rename itself survives power loss. A
+/// failure or crash at any point leaves the previous file intact (a failed
+/// write also removes its temp file).
+fn write_durably(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), GzError>,
+) -> Result<(), GzError> {
+    let tmp: PathBuf = {
+        let mut os = path.as_os_str().to_os_string();
+        os.push(".tmp");
+        os.into()
+    };
+    let written = (|| {
+        let mut w = BufWriter::with_capacity(1 << 20, std::fs::File::create(&tmp)?);
+        write(&mut w)?;
+        let file = w.into_inner().map_err(|e| GzError::Io(e.into_error()))?;
+        file.sync_all()?;
+        Ok(())
+    })();
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)
+}
+
+/// Fsync the directory holding `path`, making a create or rename in it
+/// durable.
+fn sync_parent_dir(path: &Path) -> Result<(), GzError> {
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
 /// Header of a checkpoint file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointHeader {
@@ -110,7 +149,9 @@ pub struct CheckpointHeader {
 }
 
 impl GraphZeppelin {
-    /// Flush all buffered updates and write the sketch state to `path`.
+    /// Flush all buffered updates and durably write the sketch state to
+    /// `path` (see [`write_durably`]: a failed save keeps the previous
+    /// checkpoint).
     pub fn save_checkpoint(&mut self, path: &Path) -> Result<CheckpointHeader, GzError> {
         self.flush();
         let params = self.params().clone();
@@ -122,22 +163,22 @@ impl GraphZeppelin {
             updates_ingested: self.updates_ingested(),
         };
 
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::with_capacity(1 << 20, file);
-        w.write_all(&MAGIC)?;
-        w.write_all(&header.num_nodes.to_le_bytes())?;
-        w.write_all(&header.seed.to_le_bytes())?;
-        w.write_all(&header.rounds.to_le_bytes())?;
-        w.write_all(&header.columns.to_le_bytes())?;
-        w.write_all(&header.updates_ingested.to_le_bytes())?;
-
-        let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
-        for sketch in self.snapshot_sketches() {
-            buf.clear();
-            params.serialize_node_sketch(&sketch, &mut buf);
-            w.write_all(&buf)?;
-        }
-        w.flush()?;
+        let sketches = self.snapshot_sketches();
+        write_durably(path, |w| {
+            w.write_all(&MAGIC)?;
+            w.write_all(&header.num_nodes.to_le_bytes())?;
+            w.write_all(&header.seed.to_le_bytes())?;
+            w.write_all(&header.rounds.to_le_bytes())?;
+            w.write_all(&header.columns.to_le_bytes())?;
+            w.write_all(&header.updates_ingested.to_le_bytes())?;
+            let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
+            for sketch in &sketches {
+                buf.clear();
+                params.serialize_node_sketch(sketch, &mut buf);
+                w.write_all(&buf)?;
+            }
+            Ok(())
+        })?;
         Ok(header)
     }
 
@@ -326,10 +367,9 @@ pub fn read_shard_checkpoint_header(path: &Path) -> Result<ShardCheckpointHeader
 }
 
 /// Persist a shard's owned sketch state (already densified by
-/// `snapshot_owned`) to `path`, atomically: the bytes land in a sibling
-/// temp file, are fsynced, and only then renamed over `path`. A crash at
-/// any point leaves either the old checkpoint or the new one — never a
-/// torn file that would silently regress the durable `seq`.
+/// `snapshot_owned`) to `path` through [`write_durably`]: a crash at any
+/// point leaves either the old checkpoint or the new one — never a torn
+/// file that would silently regress the durable `seq`.
 pub fn save_shard_checkpoint(
     path: &Path,
     header: &ShardCheckpointHeader,
@@ -337,35 +377,24 @@ pub fn save_shard_checkpoint(
     sketches: &[(u32, CubeNodeSketch)],
 ) -> Result<(), GzError> {
     debug_assert_eq!(sketches.len() as u64, header.owned_count);
-    let tmp: PathBuf = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        os.into()
-    };
-    let file = std::fs::File::create(&tmp)?;
-    let mut w = BufWriter::with_capacity(1 << 20, file);
-    w.write_all(&SHARD_MAGIC)?;
-    w.write_all(&header.num_nodes.to_le_bytes())?;
-    w.write_all(&header.seed.to_le_bytes())?;
-    w.write_all(&header.rounds.to_le_bytes())?;
-    w.write_all(&header.columns.to_le_bytes())?;
-    w.write_all(&header.shard_index.to_le_bytes())?;
-    w.write_all(&header.num_shards.to_le_bytes())?;
-    w.write_all(&header.seq.to_le_bytes())?;
-    w.write_all(&header.owned_count.to_le_bytes())?;
-
-    let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
-    for (_, sketch) in sketches {
-        buf.clear();
-        params.serialize_node_sketch(sketch, &mut buf);
-        w.write_all(&buf)?;
-    }
-    w.flush()?;
-    let file = w.into_inner().map_err(|e| GzError::Io(e.into_error()))?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    write_durably(path, |w| {
+        w.write_all(&SHARD_MAGIC)?;
+        w.write_all(&header.num_nodes.to_le_bytes())?;
+        w.write_all(&header.seed.to_le_bytes())?;
+        w.write_all(&header.rounds.to_le_bytes())?;
+        w.write_all(&header.columns.to_le_bytes())?;
+        w.write_all(&header.shard_index.to_le_bytes())?;
+        w.write_all(&header.num_shards.to_le_bytes())?;
+        w.write_all(&header.seq.to_le_bytes())?;
+        w.write_all(&header.owned_count.to_le_bytes())?;
+        let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
+        for (_, sketch) in sketches {
+            buf.clear();
+            params.serialize_node_sketch(sketch, &mut buf);
+            w.write_all(&buf)?;
+        }
+        Ok(())
+    })
 }
 
 /// Load a shard checkpoint, validating every identity field against
@@ -445,11 +474,13 @@ pub struct UpdateWal {
 
 impl UpdateWal {
     /// Create (or truncate) the WAL at `path`, writing and syncing the
-    /// magic so recovery can tell "fresh log" from "not a log".
+    /// magic so recovery can tell "fresh log" from "not a log", and
+    /// syncing the directory so the new log's name survives power loss.
     pub fn create(path: &Path) -> Result<UpdateWal, GzError> {
         let mut file = std::fs::File::create(path)?;
         file.write_all(&WAL_MAGIC)?;
         file.sync_data()?;
+        sync_parent_dir(path)?;
         Ok(UpdateWal { file, buf: Vec::new() })
     }
 
@@ -564,24 +595,17 @@ impl ServeManifest {
         out
     }
 
-    /// Atomically publish this manifest at `path` (tmp + fsync + rename):
-    /// a crash leaves either the previous round current or this one —
-    /// never a torn manifest.
+    /// Atomically publish this manifest at `path` ([`write_durably`]): a
+    /// crash leaves either the previous round current or this one — never
+    /// a torn manifest.
     pub fn save(&self, path: &Path) -> Result<(), GzError> {
-        let tmp: PathBuf = {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".tmp");
-            os.into()
-        };
         let fields = self.encode_fields();
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&MANIFEST_MAGIC)?;
-        file.write_all(&fields)?;
-        file.write_all(&xxh64(&fields, 0).to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        write_durably(path, |w| {
+            w.write_all(&MANIFEST_MAGIC)?;
+            w.write_all(&fields)?;
+            w.write_all(&xxh64(&fields, 0).to_le_bytes())?;
+            Ok(())
+        })
     }
 
     /// Load and validate the manifest at `path`.

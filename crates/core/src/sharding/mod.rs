@@ -11,24 +11,27 @@
 //! - the wire protocol (`gz_stream::wire`) — framed, versioned messages
 //!   (`Hello`, `Batch`, `Flush`, `GatherSketches`, `GatherRound`,
 //!   `Shutdown`) between coordinator and shard workers.
-//! - [`ShardTransport`] — how batches travel: [`InProcessTransport`]
-//!   (queue pushes, the single-process deployment) or [`SocketTransport`]
-//!   (TCP/Unix sockets to worker processes running
-//!   [`serve_shard_connection`]). The coordinator is transport-agnostic.
+//! - [`ShardTransport`] — how batches travel and how a query round is
+//!   gathered: [`InProcessTransport`] (queue pushes, the single-process
+//!   deployment; round slices fold straight from each shard's store) or
+//!   [`SocketTransport`] (TCP/Unix sockets to worker processes running
+//!   [`serve_shard_connection`]; the wire codec runs only here). The
+//!   coordinator is transport-agnostic.
 //! - [`ShardPipeline`] — a full per-shard ingestion stack: work queue,
 //!   Graph Worker pool, and a pluggable RAM/disk store covering only the
 //!   shard's owned vertices.
 //!
 //! The routing contract is unchanged: shard `i` owns every vertex `v` with
 //! `v % num_shards == i`, each update touches at most two shards, and
-//! shards never communicate until query time. A query gathers one
-//! `GatherRound` frame per Borůvka round (a `rounds`-fold smaller message
-//! than the full sketch stack) and folds the slices straight into the
-//! round-driven engine, so the coordinator never materializes the
-//! universe. The crucial invariant — proved by the equivalence suite and
-//! the multi-process example — is that a sharded system's gathered sketch
-//! state is *bit-identical* to a single-node system's on the same stream,
-//! and so are its answers.
+//! shards never communicate until query time. Each Borůvka round folds
+//! only that round's slices into the round-driven engine — socket shards
+//! ship one `GatherRound` frame (a `rounds`-fold smaller message than the
+//! full sketch stack), in-process shards stream their stores in place —
+//! so the coordinator never materializes the universe. The crucial
+//! invariant — proved by the equivalence suite and the multi-process
+//! example — is that a sharded system's gathered sketch state is
+//! *bit-identical* to a single-node system's on the same stream, and so are
+//! its answers.
 
 mod pipeline;
 mod router;
@@ -46,7 +49,6 @@ use crate::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome};
 use crate::config::{GutterCapacity, LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
-use crate::sparse::SparseSet;
 use crate::store::io_backend::IoBackendConfig;
 use crate::store::SketchSource;
 use gz_gutters::WorkerPool;
@@ -428,20 +430,7 @@ impl ShardedGraphZeppelin {
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
         let Some(max_lag) = self.query_staleness else {
             self.flush()?;
-            let params = Arc::clone(&self.params);
-            let mut source = GatherRoundSource {
-                transport: &self.transport,
-                params: &params,
-                num_nodes: self.num_nodes,
-                epochs: None,
-                resident: 0,
-            };
-            return boruvka_rounds_parallel(
-                &mut source,
-                self.num_nodes,
-                params.rounds(),
-                self.query_threads,
-            );
+            return gather_query(&self.transport, &self.params, None, self.query_threads);
         };
         let fresh_enough = matches!(&self.cached_epoch, Some((_, sealed_at)) if self.updates - sealed_at <= max_lag);
         if !fresh_enough {
@@ -463,7 +452,6 @@ impl ShardedGraphZeppelin {
         Ok(ShardedEpoch {
             transport: Arc::clone(&self.transport),
             params: Arc::clone(&self.params),
-            num_nodes: self.num_nodes,
             query_threads: self.query_threads,
             epoch_ids,
         })
@@ -526,7 +514,6 @@ impl Drop for ShardedGraphZeppelin {
 pub struct ShardedEpoch {
     transport: Arc<parking_lot::Mutex<Box<dyn ShardTransport + Send>>>,
     params: Arc<SketchParams>,
-    num_nodes: u64,
     query_threads: usize,
     epoch_ids: Vec<u64>,
 }
@@ -549,19 +536,7 @@ impl ShardedEpoch {
     /// no matter how much the shards have ingested since (pinned by the
     /// epoch equivalence suite).
     pub fn spanning_forest(&self) -> Result<BoruvkaOutcome, GzError> {
-        let mut source = GatherRoundSource {
-            transport: &self.transport,
-            params: &self.params,
-            num_nodes: self.num_nodes,
-            epochs: Some(&self.epoch_ids),
-            resident: 0,
-        };
-        boruvka_rounds_parallel(
-            &mut source,
-            self.num_nodes,
-            self.params.rounds(),
-            self.query_threads,
-        )
+        gather_query(&self.transport, &self.params, Some(&self.epoch_ids), self.query_threads)
     }
 }
 
@@ -573,21 +548,32 @@ impl Drop for ShardedEpoch {
     }
 }
 
-/// Round-slice source over the shard transport: Borůvka round `r` gathers
-/// only round `r`'s column data from every shard, validates that each node
-/// arrived exactly once, and folds the slices straight into the engine's
-/// accumulators. Resident bytes per round are one round of the universe —
-/// the gathered frames — instead of the full `V × sketch` materialization.
+/// Round-slice source over the shard transport: Borůvka round `r` asks the
+/// transport to fold round `r` of every shard straight into the engine's
+/// sinks ([`ShardTransport::gather_round_into`]) — in-process shards from
+/// their stores, socket shards from validated wire replies — so the
+/// coordinator never materializes the universe.
 ///
-/// The transport is locked per gather, not for the query's lifetime, so an
+/// The transport is locked per round, not for the query's lifetime, so an
 /// epoch-pinned source (`epochs = Some`) shares the links with concurrent
 /// ingestion.
 struct GatherRoundSource<'a> {
     transport: &'a parking_lot::Mutex<Box<dyn ShardTransport + Send>>,
     params: &'a SketchParams,
-    num_nodes: u64,
     epochs: Option<&'a [u64]>,
     resident: usize,
+}
+
+/// Run the Borůvka engine over round gathers from `transport`, pinned to
+/// per-shard `epochs` when set.
+fn gather_query(
+    transport: &parking_lot::Mutex<Box<dyn ShardTransport + Send>>,
+    params: &SketchParams,
+    epochs: Option<&[u64]>,
+    query_threads: usize,
+) -> Result<BoruvkaOutcome, GzError> {
+    let mut source = GatherRoundSource { transport, params, epochs, resident: 0 };
+    boruvka_rounds_parallel(&mut source, params.num_nodes, params.rounds(), query_threads)
 }
 
 impl SketchSource for GatherRoundSource<'_> {
@@ -601,30 +587,18 @@ impl SketchSource for GatherRoundSource<'_> {
         self.resident
     }
 
+    /// Shard gathers fold only into the engine's per-worker sinks (the
+    /// engine calls [`Self::stream_round_into`]); there is no serial
+    /// per-node delivery to offer.
     fn stream_round(
         &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &Self::Sampler),
+        _round: usize,
+        _live: &(dyn Fn(u32) -> bool + Sync),
+        _sink: &mut dyn FnMut(u32, &Self::Sampler),
     ) -> Result<(), GzError> {
-        let entries = self.transport.lock().gather_round(round as u32, self.epochs)?;
-        self.resident = entries.iter().map(|e| e.bytes.len()).sum();
-        let expect_bytes = self.params.round_serialized_bytes(round);
-        let mut seen = vec![false; self.num_nodes as usize];
-        for e in &entries {
-            validate_round_entry(&mut seen, e, round, expect_bytes)?;
-            if live(e.node) {
-                sink(e.node, &decode_round_entry(self.params, round, e));
-            }
-        }
-        require_all_gathered(&seen)
+        Err(GzError::InvalidConfig("shard gathers fold only through stream_round_into".into()))
     }
 
-    /// Parallel gather: `GatherRound` frames go to every shard up front and
-    /// each reply is folded *as it arrives* — shard `i`'s slices
-    /// deserialize and fold (fanned out across the pool's workers) while
-    /// shards `j > i` are still serializing or transmitting theirs, instead
-    /// of collecting the whole round before any folding starts.
     fn stream_round_into(
         &mut self,
         round: usize,
@@ -632,106 +606,16 @@ impl SketchSource for GatherRoundSource<'_> {
         pool: &WorkerPool,
         sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, Self::Sampler>>],
     ) -> Result<(), GzError> {
-        let expect_bytes = self.params.round_serialized_bytes(round);
-        let params = self.params;
-        let mut seen = vec![false; self.num_nodes as usize];
-        let mut resident = 0usize;
-        self.transport.lock().gather_round_each(round as u32, self.epochs, &mut |entries| {
-            for e in &entries {
-                validate_round_entry(&mut seen, e, round, expect_bytes)?;
-            }
-            resident += entries.iter().map(|e| e.bytes.len()).sum::<usize>();
-            // Fold this reply across the pool: contiguous entry chunks, one
-            // per worker, into that worker's sink.
-            pool.run(&|w| {
-                let range = gz_gutters::worker_pool::partition(entries.len(), pool.threads(), w);
-                if range.is_empty() {
-                    return;
-                }
-                let mut sink = sinks[w].lock();
-                for e in &entries[range] {
-                    if live(e.node) {
-                        sink.fold(e.node, &decode_round_entry(params, round, e));
-                    }
-                }
-            });
-            Ok(())
-        })?;
-        self.resident = resident;
-        require_all_gathered(&seen)
+        self.resident = self.transport.lock().gather_round_into(
+            round,
+            self.epochs,
+            self.params,
+            live,
+            pool,
+            sinks,
+        )?;
+        Ok(())
     }
-}
-
-/// Shared validation for gathered round entries: each in-range node arrives
-/// exactly once, with a valid representation tag — `0` followed by exactly
-/// one round's dense bytes, or `1` followed by a well-formed sparse
-/// neighbor-set (wire protocol v5).
-fn validate_round_entry(
-    seen: &mut [bool],
-    e: &gz_stream::wire::SketchEntry,
-    round: usize,
-    expect_bytes: usize,
-) -> Result<(), GzError> {
-    let slot = seen.get_mut(e.node as usize).ok_or_else(|| {
-        GzError::Protocol(format!("gathered round slice for out-of-range node {}", e.node))
-    })?;
-    if std::mem::replace(slot, true) {
-        return Err(GzError::Protocol(format!("node {} gathered from two shards", e.node)));
-    }
-    match e.bytes.first() {
-        Some(0) => {
-            if e.bytes.len() != 1 + expect_bytes {
-                return Err(GzError::Protocol(format!(
-                    "round {round} dense slice for node {} is {} bytes, want {}",
-                    e.node,
-                    e.bytes.len() - 1,
-                    expect_bytes
-                )));
-            }
-        }
-        Some(1) => {
-            if SparseSet::decode_wire(&e.bytes[1..]).is_none() {
-                return Err(GzError::Protocol(format!(
-                    "round {round} sparse set for node {} is malformed",
-                    e.node
-                )));
-            }
-        }
-        tag => {
-            return Err(GzError::Protocol(format!(
-                "round {round} entry for node {} has bad representation tag {tag:?}",
-                e.node
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Decode a *validated* v5 round entry into its round slice: tag 0 carries
-/// the dense serialization; tag 1 carries a sparse neighbor-set the
-/// coordinator replays through the batch kernel — bit-identical to the
-/// dense slice the shard would hold had the node been promoted.
-fn decode_round_entry(
-    params: &SketchParams,
-    round: usize,
-    e: &gz_stream::wire::SketchEntry,
-) -> CubeRoundSketch {
-    match e.bytes[0] {
-        0 => params.deserialize_round(round, &e.bytes[1..]),
-        1 => {
-            let set = SparseSet::decode_wire(&e.bytes[1..]).expect("entry validated");
-            set.synthesize_round(e.node, params, round)
-        }
-        tag => unreachable!("entry validated, got tag {tag}"),
-    }
-}
-
-/// Every node of the universe must have been gathered by some shard.
-fn require_all_gathered(seen: &[bool]) -> Result<(), GzError> {
-    if let Some(node) = seen.iter().position(|s| !*s) {
-        return Err(GzError::Protocol(format!("no shard gathered a round slice for node {node}")));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1119,28 +1003,6 @@ mod tests {
         let pinned = epoch.spanning_forest().unwrap();
         assert_eq!(pinned.labels, reference.labels);
         assert_eq!(pinned.forest, reference.forest);
-    }
-
-    #[test]
-    fn validate_round_entry_rejects_bad_frames() {
-        use gz_stream::wire::SketchEntry;
-        let check = |bytes: Vec<u8>| {
-            let mut seen = vec![false; 4];
-            validate_round_entry(&mut seen, &SketchEntry { node: 1, bytes }, 0, 8)
-        };
-        assert!(check(vec![]).is_err(), "empty entry");
-        assert!(check(vec![7, 0, 0]).is_err(), "unknown tag");
-        assert!(check(vec![0; 8]).is_err(), "dense payload one byte short");
-        assert!(check(vec![0; 9]).is_ok(), "dense tag + 8 payload bytes");
-        assert!(check(vec![1, 2, 0, 0, 0, 5, 0, 0, 0]).is_err(), "sparse count over-claims");
-        assert!(
-            check(vec![1, 1, 0, 0, 0, 5, 0, 0, 0]).is_ok(),
-            "well-formed single-neighbor sparse set"
-        );
-        assert!(
-            check(vec![1, 2, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0]).is_err(),
-            "duplicate neighbors are malformed"
-        );
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! only the shard's residue class — sketch memory is
 //! `owned_nodes × node_sketch_bytes`, not `V × node_sketch_bytes`.
 
+use crate::boruvka::RoundSink;
 use crate::checkpoint::{load_shard_checkpoint, save_shard_checkpoint, ShardCheckpointHeader};
-use crate::config::StoreBackend;
 use crate::error::GzError;
 use crate::ingest::WorkerPool;
-use crate::node_sketch::SketchParams;
+use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sharding::ShardConfig;
-use crate::store::{disk::DiskStore, ram::RamStore, EpochOverlay, NodeSet, SketchStore};
+use crate::store::{
+    EpochOverlay, EpochRoundSource, NodeSet, SketchSource, SketchStore, StoreRoundSource,
+};
 use gz_gutters::{Batch, WorkQueue};
 use gz_stream::wire::SketchEntry;
 use parking_lot::Mutex;
@@ -59,31 +61,15 @@ impl ShardPipeline {
             )));
         }
         let params = Arc::new(config.params());
-        let owned = NodeSet::strided(config.num_nodes, index, config.num_shards);
-        let store = match &config.store {
-            StoreBackend::Ram => Arc::new(SketchStore::Ram(RamStore::for_nodes_with_threshold(
-                Arc::clone(&params),
-                config.locking,
-                owned,
-                config.sketch_threshold,
-            ))),
-            StoreBackend::Disk { dir, block_bytes, cache_groups } => {
-                let path = dir.join(format!(
-                    "gz_shard{index}_sketches_{}_{}.bin",
-                    std::process::id(),
-                    config.seed
-                ));
-                Arc::new(SketchStore::Disk(DiskStore::for_nodes_with_options(
-                    Arc::clone(&params),
-                    owned,
-                    path,
-                    *block_bytes,
-                    *cache_groups,
-                    config.sketch_threshold,
-                    config.io,
-                )?))
-            }
-        };
+        let store = Arc::new(SketchStore::for_nodes(
+            &config.store,
+            Arc::clone(&params),
+            NodeSet::strided(config.num_nodes, index, config.num_shards),
+            &format!("gz_shard{index}_sketches_{}", config.seed),
+            config.locking,
+            config.sketch_threshold,
+            config.io,
+        )?);
         let queue = Arc::new(WorkQueue::for_workers(config.workers_per_shard));
         let workers =
             WorkerPool::spawn(config.workers_per_shard, 1, Arc::clone(&queue), Arc::clone(&store));
@@ -106,20 +92,10 @@ impl ShardPipeline {
         })
     }
 
-    /// This shard's index.
-    pub fn index(&self) -> u32 {
-        self.index
-    }
-
     /// True if this shard owns vertex `v`.
     #[inline]
     pub fn owns(&self, v: u32) -> bool {
         v % self.num_shards == self.index
-    }
-
-    /// Shared sketch parameters.
-    pub fn params(&self) -> &Arc<SketchParams> {
-        &self.params
     }
 
     /// Enqueue a node-keyed batch for the Graph Workers; `node` must be
@@ -231,35 +207,54 @@ impl ShardPipeline {
             .collect()
     }
 
-    /// Flush, then serialize only round `round`'s slice of every owned
-    /// node's sketch — the payload of a `RoundSketches` wire reply. A
-    /// disk-backed shard serves this from one contiguous column read per
-    /// node group instead of faulting whole groups through its cache.
+    /// Serialize round `round`'s slice of every owned node's sketch — the
+    /// payload of a `RoundSketches` wire reply. With `epoch = None` the
+    /// shard flushes and serializes its live sketches; with `Some(id)` it
+    /// serializes the state sealed at `id` and does **not** flush — the
+    /// whole point is to answer from the sealed snapshot while ingestion
+    /// keeps running. A disk-backed shard serves this from one contiguous
+    /// column read per node group instead of faulting whole groups through
+    /// its cache.
     ///
     /// Entries are tagged (wire protocol v5): promoted nodes ship `0` plus
     /// the dense round slice; sub-threshold nodes ship `1` plus their exact
     /// neighbor-set — typically far smaller than the slice — and the
     /// coordinator replays it, so a sparse shard never densifies to answer.
-    pub fn gather_round_serialized(&self, round: usize) -> Result<Vec<SketchEntry>, GzError> {
-        if round >= self.params.rounds() {
-            return Err(GzError::Protocol(format!(
-                "GatherRound for round {round}, but sketches have {} rounds",
-                self.params.rounds()
-            )));
-        }
-        self.flush();
+    pub fn gather_round_serialized(
+        &self,
+        round: usize,
+        epoch: Option<u64>,
+    ) -> Result<Vec<SketchEntry>, GzError> {
+        self.check_round(round)?;
+        let overlay = match epoch {
+            None => {
+                self.flush();
+                None
+            }
+            Some(id) => Some(self.sealed(id)?),
+        };
+        let sparse = match &overlay {
+            None => self.store.sparse_sets(&|_| true),
+            Some(overlay) => self.store.sparse_sets_at(&|_| true, overlay),
+        };
         let mut entries = Vec::with_capacity(self.store.node_set().len());
-        for (node, set) in self.store.sparse_sets(&|_| true) {
+        for (node, set) in sparse {
             let mut bytes = vec![1u8];
             set.encode_wire(&mut bytes);
             entries.push(SketchEntry { node, bytes });
         }
-        self.store.stream_round_dense(round, &|_| true, &mut |node, sketch| {
+        let mut dense = |node, sketch: &CubeRoundSketch| {
             let mut bytes = Vec::with_capacity(1 + self.params.round_serialized_bytes(round));
             bytes.push(0u8);
             sketch.serialize_into(&mut bytes);
             entries.push(SketchEntry { node, bytes });
-        })?;
+        };
+        match &overlay {
+            None => self.store.stream_round_dense(round, &|_| true, &mut dense)?,
+            Some(overlay) => {
+                self.store.stream_round_dense_at(round, &|_| true, overlay, &mut dense)?
+            }
+        }
         Ok(entries)
     }
 
@@ -274,39 +269,55 @@ impl ShardPipeline {
         Ok(id)
     }
 
-    /// Serialize round `round` as it stood when `epoch` was sealed — the
-    /// payload of an epoch-pinned `RoundSketches` reply. Unlike
-    /// [`Self::gather_round_serialized`] this does **not** flush: the whole
-    /// point is to answer from the sealed snapshot while ingestion keeps
-    /// running.
-    pub fn gather_round_serialized_at(
+    /// Fold round `round` of every owned node straight from the store into
+    /// the query engine's `sinks` — the in-process gather, which builds no
+    /// wire entries. With `epoch = None` the shard flushes and streams its
+    /// live sketches; with `Some(id)` it streams the state sealed at `id`
+    /// without flushing. Sparse nodes are synthesized exactly as a
+    /// single-node store does. Returns the sketch bytes the stream held
+    /// resident.
+    pub(crate) fn stream_round_into(
         &self,
         round: usize,
-        epoch: u64,
-    ) -> Result<Vec<SketchEntry>, GzError> {
+        epoch: Option<u64>,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        pool: &gz_gutters::WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) -> Result<usize, GzError> {
+        self.check_round(round)?;
+        match epoch {
+            None => {
+                self.flush();
+                let mut source = StoreRoundSource::new(&self.store);
+                source.stream_round_into(round, live, pool, sinks)?;
+                Ok(source.resident_bytes())
+            }
+            Some(id) => {
+                let overlay = self.sealed(id)?;
+                let mut source = EpochRoundSource::new(&self.store, &overlay);
+                source.stream_round_into(round, live, pool, sinks)?;
+                Ok(source.resident_bytes())
+            }
+        }
+    }
+
+    fn check_round(&self, round: usize) -> Result<(), GzError> {
         if round >= self.params.rounds() {
             return Err(GzError::Protocol(format!(
                 "GatherRound for round {round}, but sketches have {} rounds",
                 self.params.rounds()
             )));
         }
-        let overlay =
-            self.epochs.lock().get(&epoch).cloned().ok_or_else(|| {
-                GzError::Protocol(format!("GatherRound for unknown epoch {epoch}"))
-            })?;
-        let mut entries = Vec::with_capacity(self.store.node_set().len());
-        for (node, set) in self.store.sparse_sets_at(&|_| true, &overlay) {
-            let mut bytes = vec![1u8];
-            set.encode_wire(&mut bytes);
-            entries.push(SketchEntry { node, bytes });
-        }
-        self.store.stream_round_dense_at(round, &|_| true, &overlay, &mut |node, sketch| {
-            let mut bytes = Vec::with_capacity(1 + self.params.round_serialized_bytes(round));
-            bytes.push(0u8);
-            sketch.serialize_into(&mut bytes);
-            entries.push(SketchEntry { node, bytes });
-        })?;
-        Ok(entries)
+        Ok(())
+    }
+
+    /// The overlay of a sealed, unreleased epoch.
+    fn sealed(&self, epoch: u64) -> Result<Arc<EpochOverlay>, GzError> {
+        self.epochs
+            .lock()
+            .get(&epoch)
+            .cloned()
+            .ok_or_else(|| GzError::Protocol(format!("GatherRound for unknown epoch {epoch}")))
     }
 
     /// Drop this shard's handle on `epoch`, letting the store reclaim its
@@ -320,12 +331,6 @@ impl ShardPipeline {
     /// Sketch payload bytes held by this shard (owned nodes only).
     pub fn sketch_bytes(&self) -> usize {
         self.store.sketch_bytes()
-    }
-
-    /// Representation census of this shard's store (sparse vs promoted
-    /// nodes — the hybrid-representation accounting).
-    pub fn rep_stats(&self) -> crate::store::RepStats {
-        self.store.rep_stats()
     }
 
     fn shutdown_inner(&mut self) {
@@ -471,7 +476,7 @@ mod tests {
     fn disk_backed_shard_pipeline_works() {
         let dir = gz_testutil::TempDir::new("gz-shard-disk");
         let mut config = ShardConfig::in_ram(16, 2);
-        config.store = StoreBackend::Disk {
+        config.store = crate::config::StoreBackend::Disk {
             dir: dir.path().to_path_buf(),
             block_bytes: 4096,
             cache_groups: 2,

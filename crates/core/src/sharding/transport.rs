@@ -1,16 +1,19 @@
 //! Shard transports: how coordinator batches reach shard pipelines.
 //!
 //! The [`ShardTransport`] trait abstracts the coordinator/shard boundary so
-//! the *same* coordinator code (router + gather + Boruvka) runs
+//! the *same* coordinator code (router + round gather + Boruvka) runs
 //! single-process or multi-process:
 //!
 //! - [`InProcessTransport`] — shards are [`ShardPipeline`]s owned by the
-//!   coordinator; "sending" a batch is a queue push. This is the refactored
-//!   form of the old `ShardedGraphZeppelin`.
+//!   coordinator; "sending" a batch is a queue push, and a query round
+//!   folds every shard's slices straight from its store into the engine's
+//!   sinks — no bytes are serialized.
 //! - [`SocketTransport`] — shards live behind byte streams (`TcpStream`,
 //!   `UnixStream`, or anything `Read + Write`) speaking the
 //!   [`gz_stream::wire`] protocol; the remote end runs
-//!   [`serve_shard_connection`]'s event loop.
+//!   [`serve_shard_connection`]'s event loop. Only this path (and
+//!   [`RecoveringTransport`] over it) runs the wire codec: each round reply
+//!   is validated, decoded and folded as it arrives.
 //!
 //! Every transport starts with a `Hello`/`HelloAck` digest handshake: two
 //! sides whose sketch parameters differ would produce unmergeable sketches,
@@ -24,12 +27,16 @@
 //! sketches are linear (XOR), replaying exactly the un-absorbed batches
 //! reproduces the lost state bit-for-bit.
 
+use crate::boruvka::RoundSink;
 use crate::error::{GzError, TransportError};
+use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sharding::router::ReplayLog;
 use crate::sharding::{ShardConfig, ShardPipeline};
-use gz_gutters::{Batch, IoStats, WorkQueue};
+use crate::sparse::SparseSet;
+use gz_gutters::{Batch, IoStats, WorkerPool};
 use gz_hash::SplitMix64;
 use gz_stream::wire::{SketchEntry, WireMessage};
+use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -153,6 +160,21 @@ fn recv_msg<S: Read + Write>(link: &mut S, shard: u32) -> Result<WireMessage, Gz
     WireMessage::read_from(link).map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))
 }
 
+/// The `Hello`/`HelloAck` digest handshake on shard `shard`'s link: a
+/// worker whose digest differs would build unmergeable sketches.
+fn hello<S: Read + Write>(link: &mut S, shard: u32, params_digest: u64) -> Result<(), GzError> {
+    send_msg(link, shard, &WireMessage::Hello { params_digest })?;
+    match recv_msg(link, shard)? {
+        WireMessage::HelloAck { params_digest: theirs } if theirs == params_digest => Ok(()),
+        WireMessage::HelloAck { params_digest: theirs } => Err(GzError::Protocol(format!(
+            "shard {shard} parameter digest {theirs:#x} != coordinator {params_digest:#x}"
+        ))),
+        other => {
+            Err(GzError::Protocol(format!("shard {shard} answered Hello with {}", other.name())))
+        }
+    }
+}
+
 /// True for errors a [`RecoveringTransport`] may heal by respawning the
 /// worker: timeouts and dead peers. Malformed frames and protocol
 /// violations are bugs, not outages — they propagate.
@@ -178,36 +200,24 @@ pub trait ShardTransport {
     /// round slices instead).
     fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError>;
 
-    /// Collect only round `round`'s slice of every shard's sketches — the
-    /// streaming query's gather unit. Each reply is `rounds`-fold smaller
-    /// than a full [`Self::gather`], so the coordinator holds at most one
-    /// round of the universe at a time. With `epochs = None` each shard
-    /// flushes and answers from its live sketches; with `Some(ids)` shard
-    /// `i` answers from its sealed epoch `ids[i]` **without** flushing, so
-    /// the gather runs concurrently with ingestion (DESIGN.md §11).
-    fn gather_round(
+    /// Fold round `round`'s slice of every shard's sketches into the
+    /// query engine's per-worker `sinks` (one node → one fold, in any sink),
+    /// skipping nodes whose supernode is no longer `live`. With
+    /// `epochs = None` each shard flushes and answers from its live
+    /// sketches; with `Some(ids)` shard `i` answers from its sealed epoch
+    /// `ids[i]` **without** flushing, so the gather runs concurrently with
+    /// ingestion (DESIGN.md §11). `params` decodes wire replies. Returns the
+    /// sketch bytes the gather held resident (gathered frames or store
+    /// read buffers) for the engine's peak-memory accounting.
+    fn gather_round_into(
         &mut self,
-        round: u32,
+        round: usize,
         epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError>;
-
-    /// Gather round `round` with overlap: issue the request to every shard
-    /// up front, then invoke `on_reply` once per shard's reply *as it
-    /// arrives*, so the coordinator folds one shard's slices while the
-    /// others are still serializing or transmitting theirs. An error from
-    /// `on_reply` stops folding and is returned (remaining shards are still
-    /// drained where the transport needs it for framing sanity). `epochs`
-    /// pins the gather exactly as in [`Self::gather_round`]. The default
-    /// collects everything first — transports with real concurrency
-    /// override it.
-    fn gather_round_each(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-        on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
-    ) -> Result<(), GzError> {
-        on_reply(self.gather_round(round, epochs)?)
-    }
+        params: &SketchParams,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        pool: &WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) -> Result<usize, GzError>;
 
     /// Seal one epoch on every shard — each shard flushes its pipeline and
     /// freezes the sealed state behind copy-on-write — and return the
@@ -280,11 +290,6 @@ impl InProcessTransport {
             .collect::<Result<Vec<_>, GzError>>()?;
         Ok(InProcessTransport { shards })
     }
-
-    /// Sketch bytes held per shard (footprint accounting).
-    pub fn shard_sketch_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.sketch_bytes()).collect()
-    }
 }
 
 impl ShardTransport for InProcessTransport {
@@ -311,74 +316,26 @@ impl ShardTransport for InProcessTransport {
         Ok(entries)
     }
 
-    fn gather_round(
+    fn gather_round_into(
         &mut self,
-        round: u32,
+        round: usize,
         epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError> {
+        _params: &SketchParams,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        pool: &WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) -> Result<usize, GzError> {
         check_epochs(epochs, self.shards.len())?;
-        let mut entries = Vec::new();
+        // Each shard streams its own store into the sinks in turn, fanned
+        // out across the whole pool; owned node sets partition the
+        // universe, so every node is folded exactly once. Shards stream one
+        // after another, so the resident peak is the largest shard's.
+        let mut resident = 0;
         for (i, shard) in self.shards.iter().enumerate() {
-            entries.extend(match epochs {
-                None => shard.gather_round_serialized(round as usize)?,
-                Some(ids) => shard.gather_round_serialized_at(round as usize, ids[i])?,
-            });
+            let epoch = epochs.map(|ids| ids[i]);
+            resident = resident.max(shard.stream_round_into(round, epoch, live, pool, sinks)?);
         }
-        Ok(entries)
-    }
-
-    fn gather_round_each(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-        on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
-    ) -> Result<(), GzError> {
-        check_epochs(epochs, self.shards.len())?;
-        // Every shard serializes its round slice on its own scoped thread;
-        // replies funnel through a queue sized to hold them all (so a
-        // failed fold never leaves a producer blocked) and are folded in
-        // arrival order — folding is XOR, so arrival order is immaterial.
-        let queue: WorkQueue<Result<Vec<SketchEntry>, GzError>> =
-            WorkQueue::with_capacity(self.shards.len().max(1));
-        std::thread::scope(|scope| {
-            for (i, shard) in self.shards.iter().enumerate() {
-                let queue = &queue;
-                scope.spawn(move || {
-                    // A panicking gather must still push *something*: the
-                    // coordinator pops one reply per shard, and a missing
-                    // push would leave it blocked forever inside this scope
-                    // — turning the panic into a silent hang. Push an error
-                    // to unblock it, then re-raise so `thread::scope`
-                    // propagates the panic as usual.
-                    let reply =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match epochs {
-                            None => shard.gather_round_serialized(round as usize),
-                            Some(ids) => shard.gather_round_serialized_at(round as usize, ids[i]),
-                        }));
-                    match reply {
-                        Ok(reply) => {
-                            queue.push(reply);
-                        }
-                        Err(payload) => {
-                            queue.push(Err(GzError::Protocol("shard gather panicked".into())));
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                });
-            }
-            let mut result = Ok(());
-            for _ in 0..self.shards.len() {
-                let Some(reply) = queue.pop() else { break };
-                if result.is_err() {
-                    continue; // drain remaining producers
-                }
-                result = match reply {
-                    Ok(entries) => on_reply(entries),
-                    Err(e) => Err(e),
-                };
-            }
-            result
-        })
+        Ok(resident)
     }
 
     fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
@@ -398,13 +355,7 @@ impl ShardTransport for InProcessTransport {
     }
 
     fn checkpoint_shards_to(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
-        if paths.len() != self.shards.len() {
-            return Err(GzError::InvalidConfig(format!(
-                "checkpoint_shards_to needs one path per shard: got {} for {} shards",
-                paths.len(),
-                self.shards.len()
-            )));
-        }
+        check_paths("checkpoint_shards_to", paths, self.shards.len())?;
         self.shards
             .iter()
             .zip(paths)
@@ -416,13 +367,7 @@ impl ShardTransport for InProcessTransport {
     }
 
     fn resume_shards_from(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
-        if paths.len() != self.shards.len() {
-            return Err(GzError::InvalidConfig(format!(
-                "resume_shards_from needs one path per shard: got {} for {} shards",
-                paths.len(),
-                self.shards.len()
-            )));
-        }
+        check_paths("resume_shards_from", paths, self.shards.len())?;
         self.shards.iter().zip(paths).map(|(shard, path)| shard.resume_from(path)).collect()
     }
 
@@ -432,6 +377,17 @@ impl ShardTransport for InProcessTransport {
     }
 }
 
+/// A targeted checkpoint or resume must name exactly one path per shard.
+fn check_paths(op: &str, paths: &[std::path::PathBuf], num_shards: usize) -> Result<(), GzError> {
+    if paths.len() != num_shards {
+        return Err(GzError::InvalidConfig(format!(
+            "{op} needs one path per shard: got {} for {num_shards} shards",
+            paths.len()
+        )));
+    }
+    Ok(())
+}
+
 /// An epoch-pinned request must carry exactly one epoch id per shard.
 fn check_epochs(epochs: Option<&[u64]>, num_shards: usize) -> Result<(), GzError> {
     match epochs {
@@ -439,6 +395,265 @@ fn check_epochs(epochs: Option<&[u64]>, num_shards: usize) -> Result<(), GzError
             Err(GzError::Protocol(format!("{} epoch ids for {num_shards} shards", ids.len())))
         }
         _ => Ok(()),
+    }
+}
+
+/// The coordinator side of a wire round gather: every shard's
+/// `RoundSketches` reply is validated, decoded and folded into the
+/// engine's sinks as it arrives. A reply that fails validation stops all
+/// further folding, but the caller still hands over every remaining reply:
+/// each link owes exactly one, and leaving it unread would desynchronize
+/// the framing for whatever the coordinator does next.
+struct WireRoundFold<'a, 's> {
+    params: &'a SketchParams,
+    round: usize,
+    live: &'a (dyn Fn(u32) -> bool + Sync),
+    pool: &'a WorkerPool,
+    sinks: &'a [Mutex<RoundSink<'s, CubeRoundSketch>>],
+    seen: Vec<bool>,
+    resident: usize,
+    result: Result<(), GzError>,
+}
+
+impl<'a, 's> WireRoundFold<'a, 's> {
+    fn new(
+        params: &'a SketchParams,
+        round: usize,
+        live: &'a (dyn Fn(u32) -> bool + Sync),
+        pool: &'a WorkerPool,
+        sinks: &'a [Mutex<RoundSink<'s, CubeRoundSketch>>],
+    ) -> Self {
+        let seen = vec![false; params.num_nodes as usize];
+        WireRoundFold { params, round, live, pool, sinks, seen, resident: 0, result: Ok(()) }
+    }
+
+    /// Take one shard's reply, folding it unless an earlier reply failed
+    /// (that failure surfaces from [`Self::finish`]). Anything but this
+    /// round's `RoundSketches` is handed back as unexpected.
+    fn reply(&mut self, reply: WireMessage) -> Result<(), WireMessage> {
+        match reply {
+            WireMessage::RoundSketches { round, entries } if round as usize == self.round => {
+                if self.result.is_ok() {
+                    self.result = self.fold(&entries);
+                }
+                Ok(())
+            }
+            other => Err(other),
+        }
+    }
+
+    /// Validate one reply, then fold it across the pool: contiguous entry
+    /// chunks, one per worker, into that worker's sink.
+    fn fold(&mut self, entries: &[SketchEntry]) -> Result<(), GzError> {
+        let expect_bytes = self.params.round_serialized_bytes(self.round);
+        for e in entries {
+            validate_round_entry(&mut self.seen, e, self.round, expect_bytes)?;
+        }
+        self.resident += entries.iter().map(|e| e.bytes.len()).sum::<usize>();
+        let (params, round, live, pool, sinks) =
+            (self.params, self.round, self.live, self.pool, self.sinks);
+        pool.run(&|w| {
+            let range = pool.partition(entries.len(), w);
+            if range.is_empty() {
+                return;
+            }
+            let mut sink = sinks[w].lock();
+            for e in &entries[range] {
+                if live(e.node) {
+                    sink.fold(e.node, &decode_round_entry(params, round, e));
+                }
+            }
+        });
+        Ok(())
+    }
+
+    /// The first reply's error, else a check that every node of the
+    /// universe arrived; returns the gathered frame bytes.
+    fn finish(self) -> Result<usize, GzError> {
+        self.result?;
+        if let Some(node) = self.seen.iter().position(|s| !*s) {
+            return Err(GzError::Protocol(format!(
+                "no shard gathered a round slice for node {node}"
+            )));
+        }
+        Ok(self.resident)
+    }
+}
+
+/// Validation for gathered round entries: each in-range node arrives
+/// exactly once, with a valid representation tag — `0` followed by exactly
+/// one round's dense bytes, or `1` followed by a well-formed sparse
+/// neighbor-set (wire protocol v5).
+fn validate_round_entry(
+    seen: &mut [bool],
+    e: &SketchEntry,
+    round: usize,
+    expect_bytes: usize,
+) -> Result<(), GzError> {
+    let slot = seen.get_mut(e.node as usize).ok_or_else(|| {
+        GzError::Protocol(format!("gathered round slice for out-of-range node {}", e.node))
+    })?;
+    if std::mem::replace(slot, true) {
+        return Err(GzError::Protocol(format!("node {} gathered from two shards", e.node)));
+    }
+    match e.bytes.first() {
+        Some(0) => {
+            if e.bytes.len() != 1 + expect_bytes {
+                return Err(GzError::Protocol(format!(
+                    "round {round} dense slice for node {} is {} bytes, want {}",
+                    e.node,
+                    e.bytes.len() - 1,
+                    expect_bytes
+                )));
+            }
+        }
+        Some(1) => {
+            if SparseSet::decode_wire(&e.bytes[1..]).is_none() {
+                return Err(GzError::Protocol(format!(
+                    "round {round} sparse set for node {} is malformed",
+                    e.node
+                )));
+            }
+        }
+        tag => {
+            return Err(GzError::Protocol(format!(
+                "round {round} entry for node {} has bad representation tag {tag:?}",
+                e.node
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Decode a *validated* v5 round entry into its round slice: tag 0 carries
+/// the dense serialization; tag 1 carries a sparse neighbor-set the
+/// coordinator replays through the batch kernel — bit-identical to the
+/// dense slice the shard would hold had the node been promoted.
+fn decode_round_entry(params: &SketchParams, round: usize, e: &SketchEntry) -> CubeRoundSketch {
+    match e.bytes[0] {
+        0 => params.deserialize_round(round, &e.bytes[1..]),
+        1 => {
+            let set = SparseSet::decode_wire(&e.bytes[1..]).expect("entry validated");
+            set.synthesize_round(e.node, params, round)
+        }
+        tag => unreachable!("entry validated, got tag {tag}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Wire round trips shared by the socket transports
+// ---------------------------------------------------------------------------
+
+/// Request/reply access to a fleet's wire links — plain for
+/// [`SocketTransport`], respawning for [`RecoveringTransport`] — so both
+/// run the same pipelined round trips.
+trait WireLinks {
+    fn num_links(&self) -> usize;
+
+    fn send(&mut self, shard: usize, msg: &WireMessage) -> Result<(), GzError>;
+
+    /// Read `shard`'s reply to `request` (a recovering link re-sends the
+    /// request after replacing a dead link).
+    fn recv(&mut self, shard: usize, request: &WireMessage) -> Result<WireMessage, GzError>;
+
+    /// One pipelined round trip: `request(i)` goes to every shard before any
+    /// reply is read, so the shards work concurrently; each reply is then
+    /// handed to `take` as its link delivers it, in shard order (a shard
+    /// that finishes early is buffered by the transport until its turn).
+    /// `take` hands back a reply it did not expect, which fails the round
+    /// trip as a protocol violation.
+    fn exchange<T>(
+        &mut self,
+        request: impl Fn(usize) -> WireMessage,
+        mut take: impl FnMut(WireMessage) -> Result<T, WireMessage>,
+    ) -> Result<Vec<T>, GzError> {
+        let n = self.num_links();
+        for i in 0..n {
+            self.send(i, &request(i))?;
+        }
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let request = request(i);
+            let reply = self.recv(i, &request)?;
+            out.push(take(reply).map_err(|other| {
+                GzError::Protocol(format!(
+                    "shard {i} answered {} with {}",
+                    request.name(),
+                    other.name()
+                ))
+            })?);
+        }
+        Ok(out)
+    }
+
+    fn wire_flush(&mut self) -> Result<(), GzError> {
+        self.exchange(
+            |_| WireMessage::Flush,
+            |reply| match reply {
+                WireMessage::FlushAck => Ok(()),
+                other => Err(other),
+            },
+        )?;
+        Ok(())
+    }
+
+    fn wire_gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
+        let replies = self.exchange(
+            |_| WireMessage::GatherSketches,
+            |reply| match reply {
+                WireMessage::Sketches { entries } => Ok(entries),
+                other => Err(other),
+            },
+        )?;
+        Ok(replies.into_iter().flatten().collect())
+    }
+
+    /// Every shard serializes its slice concurrently, and each reply is
+    /// validated and folded while later shards are still working. After a
+    /// bad reply the remaining ones are still read — every link owes
+    /// exactly one, and leaving it unread would desynchronize the framing
+    /// for whatever the coordinator does next.
+    fn wire_gather_round(
+        &mut self,
+        round: usize,
+        epochs: Option<&[u64]>,
+        params: &SketchParams,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        pool: &WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) -> Result<usize, GzError> {
+        check_epochs(epochs, self.num_links())?;
+        let mut fold = WireRoundFold::new(params, round, live, pool, sinks);
+        self.exchange(
+            |i| WireMessage::GatherRound { round: round as u32, epoch: epochs.map(|ids| ids[i]) },
+            |reply| fold.reply(reply),
+        )?;
+        fold.finish()
+    }
+
+    /// Every shard flushes and seals concurrently; returns the per-shard
+    /// epoch ids in shard order.
+    fn wire_seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
+        self.exchange(
+            |_| WireMessage::SealEpoch,
+            |reply| match reply {
+                WireMessage::EpochSealed { epoch } => Ok(epoch),
+                other => Err(other),
+            },
+        )
+    }
+
+    /// `CheckpointShard` is an in-stream frame, so each shard's checkpoint
+    /// covers exactly the batches framed before it — no coordinator-side
+    /// flush or barrier needed. Returns the per-shard covered sequences.
+    fn wire_checkpoint(&mut self) -> Result<Vec<u64>, GzError> {
+        self.exchange(
+            |_| WireMessage::CheckpointShard,
+            |reply| match reply {
+                WireMessage::CheckpointAck { seq } => Ok(seq),
+                other => Err(other),
+            },
+        )
     }
 }
 
@@ -548,23 +763,23 @@ impl<S: Read + Write> SocketTransport<S> {
             return Err(GzError::InvalidConfig("need at least one shard link".into()));
         }
         for (i, link) in links.iter_mut().enumerate() {
-            WireMessage::Hello { params_digest }.write_to(link)?;
-            match WireMessage::read_from(link)? {
-                WireMessage::HelloAck { params_digest: theirs } if theirs == params_digest => {}
-                WireMessage::HelloAck { params_digest: theirs } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} parameter digest {theirs:#x} != coordinator {params_digest:#x}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered Hello with {}",
-                        other.name()
-                    )));
-                }
-            }
+            hello(link, i as u32, params_digest)?;
         }
         Ok(SocketTransport { links })
+    }
+}
+
+impl<S: Read + Write> WireLinks for SocketTransport<S> {
+    fn num_links(&self) -> usize {
+        self.links.len()
+    }
+
+    fn send(&mut self, shard: usize, msg: &WireMessage) -> Result<(), GzError> {
+        send_msg(&mut self.links[shard], shard as u32, msg)
+    }
+
+    fn recv(&mut self, shard: usize, _request: &WireMessage) -> Result<WireMessage, GzError> {
+        recv_msg(&mut self.links[shard], shard as u32)
     }
 }
 
@@ -582,184 +797,43 @@ impl<S: Read + Write> ShardTransport for SocketTransport<S> {
     }
 
     fn flush(&mut self) -> Result<(), GzError> {
-        // Pipelined: all shards flush concurrently, then all acks collected.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::Flush)?;
-        }
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::FlushAck => {}
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered Flush with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(())
+        self.wire_flush()
     }
 
     fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::GatherSketches)?;
-        }
-        let mut entries = Vec::new();
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::Sketches { entries: shard_entries } => {
-                    entries.extend(shard_entries);
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherSketches with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(entries)
+        self.wire_gather()
     }
 
-    fn gather_round(
+    fn gather_round_into(
         &mut self,
-        round: u32,
+        round: usize,
         epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError> {
-        check_epochs(epochs, self.links.len())?;
-        // Pipelined like the full gather: all shards serialize their round
-        // slice concurrently, then the replies are collected in shard order.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let msg = WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-            send_msg(link, i as u32, &msg)?;
-        }
-        let mut entries = Vec::new();
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::RoundSketches { round: theirs, entries: shard_entries }
-                    if theirs == round =>
-                {
-                    entries.extend(shard_entries);
-                }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(entries)
-    }
-
-    fn gather_round_each(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-        on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
-    ) -> Result<(), GzError> {
-        check_epochs(epochs, self.links.len())?;
-        // All requests go out before any reply is read, so every shard
-        // serializes its slice concurrently; each reply is then folded as
-        // soon as its link delivers it, while later shards are still
-        // working. (Replies are read in link order — a shard that finishes
-        // early is buffered by the transport until its turn.)
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let msg = WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-            send_msg(link, i as u32, &msg)?;
-        }
-        let mut result = Ok(());
-        for (i, link) in self.links.iter_mut().enumerate() {
-            // Keep reading even after a fold error: every link owes exactly
-            // one reply, and leaving it unread would desynchronize the
-            // framing for whatever the coordinator does next.
-            match recv_msg(link, i as u32)? {
-                WireMessage::RoundSketches { round: theirs, entries } if theirs == round => {
-                    if result.is_ok() {
-                        result = on_reply(entries);
-                    }
-                }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        result
+        params: &SketchParams,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        pool: &WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) -> Result<usize, GzError> {
+        self.wire_gather_round(round, epochs, params, live, pool, sinks)
     }
 
     fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
-        // Pipelined: every shard flushes and seals concurrently, then the
-        // per-shard epoch ids are collected in shard order.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::SealEpoch)?;
-        }
-        let mut ids = Vec::with_capacity(self.links.len());
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::EpochSealed { epoch } => ids.push(epoch),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered SealEpoch with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(ids)
+        self.wire_seal_epoch()
     }
 
     fn release_epoch(&mut self, epochs: &[u64]) -> Result<(), GzError> {
         check_epochs(Some(epochs), self.links.len())?;
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::ReleaseEpoch { epoch: epochs[i] })?;
-        }
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::EpochReleased => {}
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered ReleaseEpoch with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
+        self.exchange(
+            |i| WireMessage::ReleaseEpoch { epoch: epochs[i] },
+            |reply| match reply {
+                WireMessage::EpochReleased => Ok(()),
+                other => Err(other),
+            },
+        )?;
         Ok(())
     }
 
     fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
-        // Pipelined: `CheckpointShard` is an in-stream frame, so each
-        // shard's checkpoint covers exactly the batches framed before it —
-        // no coordinator-side flush or barrier needed.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::CheckpointShard)?;
-        }
-        let mut seqs = Vec::with_capacity(self.links.len());
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::CheckpointAck { seq } => seqs.push(seq),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered CheckpointShard with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(seqs)
+        self.wire_checkpoint()
     }
 
     fn shutdown(&mut self) -> Result<(), GzError> {
@@ -898,22 +972,7 @@ impl<S: ShardLink> RecoveringTransport<S> {
     fn resync(&mut self, shard: u32, link: &mut S) -> Result<(), GzError> {
         link.apply_timeouts(&self.timeouts)
             .map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))?;
-        send_msg(link, shard, &WireMessage::Hello { params_digest: self.params_digest })?;
-        match recv_msg(link, shard)? {
-            WireMessage::HelloAck { params_digest: theirs } if theirs == self.params_digest => {}
-            WireMessage::HelloAck { params_digest: theirs } => {
-                return Err(GzError::Protocol(format!(
-                    "respawned shard {shard} parameter digest {theirs:#x} != coordinator {:#x}",
-                    self.params_digest
-                )));
-            }
-            other => {
-                return Err(GzError::Protocol(format!(
-                    "respawned shard {shard} answered Hello with {}",
-                    other.name()
-                )));
-            }
-        }
+        hello(link, shard, self.params_digest)?;
         send_msg(link, shard, &WireMessage::Resync)?;
         let seq = match recv_msg(link, shard)? {
             WireMessage::ResyncFrom { seq } => seq,
@@ -944,14 +1003,20 @@ impl<S: ShardLink> RecoveringTransport<S> {
         self.stats.record_replay(missing);
         Ok(())
     }
+}
+
+impl<S: ShardLink> WireLinks for RecoveringTransport<S> {
+    fn num_links(&self) -> usize {
+        self.inner.links.len()
+    }
 
     /// Write `msg` to `shard`, recovering once. A fresh link has no pending
     /// requests, so the write is simply re-issued after recovery.
-    fn send_recovering(&mut self, shard: u32, msg: &WireMessage) -> Result<(), GzError> {
-        match send_msg(&mut self.inner.links[shard as usize], shard, msg) {
+    fn send(&mut self, shard: usize, msg: &WireMessage) -> Result<(), GzError> {
+        match self.inner.send(shard, msg) {
             Err(e) if recoverable(&e) => {
-                self.recover(shard, e)?;
-                send_msg(&mut self.inner.links[shard as usize], shard, msg)
+                self.recover(shard as u32, e)?;
+                self.inner.send(shard, msg)
             }
             other => other,
         }
@@ -960,17 +1025,12 @@ impl<S: ShardLink> RecoveringTransport<S> {
     /// Read `shard`'s reply to `request`, recovering once. Recovery
     /// replaces the link wholesale, so the fresh worker never saw the
     /// request — it is re-sent before the reply is read again.
-    fn recv_recovering(
-        &mut self,
-        shard: u32,
-        request: &WireMessage,
-    ) -> Result<WireMessage, GzError> {
-        match recv_msg(&mut self.inner.links[shard as usize], shard) {
+    fn recv(&mut self, shard: usize, request: &WireMessage) -> Result<WireMessage, GzError> {
+        match self.inner.recv(shard, request) {
             Err(e) if recoverable(&e) => {
-                self.recover(shard, e)?;
-                let link = &mut self.inner.links[shard as usize];
-                send_msg(link, shard, request)?;
-                recv_msg(link, shard)
+                self.recover(shard as u32, e)?;
+                self.inner.send(shard, request)?;
+                self.inner.recv(shard, request)
             }
             other => other,
         }
@@ -1004,137 +1064,27 @@ impl<S: ShardLink> ShardTransport for RecoveringTransport<S> {
     }
 
     fn flush(&mut self) -> Result<(), GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::Flush)?;
-        }
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::Flush)? {
-                WireMessage::FlushAck => {}
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered Flush with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(())
+        self.wire_flush()
     }
 
     fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::GatherSketches)?;
-        }
-        let mut entries = Vec::new();
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::GatherSketches)? {
-                WireMessage::Sketches { entries: shard_entries } => entries.extend(shard_entries),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherSketches with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(entries)
+        self.wire_gather()
     }
 
-    fn gather_round(
+    fn gather_round_into(
         &mut self,
-        round: u32,
+        round: usize,
         epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError> {
-        check_epochs(epochs, self.inner.links.len())?;
-        let n = self.inner.links.len();
-        let request =
-            |i: usize| WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-        for i in 0..n {
-            self.send_recovering(i as u32, &request(i))?;
-        }
-        let mut entries = Vec::new();
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &request(i))? {
-                WireMessage::RoundSketches { round: theirs, entries: shard_entries }
-                    if theirs == round =>
-                {
-                    entries.extend(shard_entries);
-                }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(entries)
-    }
-
-    fn gather_round_each(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-        on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
-    ) -> Result<(), GzError> {
-        check_epochs(epochs, self.inner.links.len())?;
-        let n = self.inner.links.len();
-        let request =
-            |i: usize| WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-        for i in 0..n {
-            self.send_recovering(i as u32, &request(i))?;
-        }
-        let mut result = Ok(());
-        for i in 0..n {
-            // As in SocketTransport: every link owes one reply; keep
-            // draining after a fold error to preserve framing.
-            match self.recv_recovering(i as u32, &request(i))? {
-                WireMessage::RoundSketches { round: theirs, entries } if theirs == round => {
-                    if result.is_ok() {
-                        result = on_reply(entries);
-                    }
-                }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        result
+        params: &SketchParams,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        pool: &WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) -> Result<usize, GzError> {
+        self.wire_gather_round(round, epochs, params, live, pool, sinks)
     }
 
     fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::SealEpoch)?;
-        }
-        let mut ids = Vec::with_capacity(n);
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::SealEpoch)? {
-                WireMessage::EpochSealed { epoch } => ids.push(epoch),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered SealEpoch with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(ids)
+        self.wire_seal_epoch()
     }
 
     fn release_epoch(&mut self, epochs: &[u64]) -> Result<(), GzError> {
@@ -1145,27 +1095,12 @@ impl<S: ShardLink> ShardTransport for RecoveringTransport<S> {
     }
 
     fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::CheckpointShard)?;
-        }
-        let mut seqs = Vec::with_capacity(n);
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::CheckpointShard)? {
-                WireMessage::CheckpointAck { seq } => {
-                    // The checkpoint durably covers batches `..seq`; the
-                    // replay log no longer needs them.
-                    self.logs[i].prune_through(seq);
-                    self.stats.record_checkpoint();
-                    seqs.push(seq);
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered CheckpointShard with {}",
-                        other.name()
-                    )));
-                }
-            }
+        let seqs = self.wire_checkpoint()?;
+        for (log, &seq) in self.logs.iter_mut().zip(&seqs) {
+            // The checkpoint durably covers batches `..seq`; the replay
+            // log no longer needs them.
+            log.prune_through(seq);
+            self.stats.record_checkpoint();
         }
         Ok(seqs)
     }
@@ -1242,10 +1177,7 @@ pub fn serve_shard_connection<S: Read + Write>(
                 stats.gathers += 1;
                 // An epoch-pinned gather must NOT flush — answering from the
                 // sealed snapshot while ingestion runs is the whole point.
-                let entries = match epoch {
-                    None => pipeline.gather_round_serialized(round as usize)?,
-                    Some(id) => pipeline.gather_round_serialized_at(round as usize, id)?,
-                };
+                let entries = pipeline.gather_round_serialized(round as usize, epoch)?;
                 WireMessage::RoundSketches { round, entries }.write_to(stream)?;
             }
             WireMessage::SealEpoch => {
@@ -1401,61 +1333,133 @@ mod tests {
         }
     }
 
+    /// Identity supernodes (every node its own root, none retired) make a
+    /// round sink's accumulators exactly the per-node slices folded into it.
+    fn identity_roots(n: u32) -> (Vec<u32>, Vec<bool>) {
+        ((0..n).collect(), vec![false; n as usize])
+    }
+
+    fn sinks_for<'a>(
+        roots: &'a (Vec<u32>, Vec<bool>),
+        threads: usize,
+    ) -> Vec<Mutex<RoundSink<'a, CubeRoundSketch>>> {
+        (0..threads).map(|_| Mutex::new(RoundSink::new(&roots.0, &roots.1))).collect()
+    }
+
+    /// The serialized slice folded for each node, asserting that no node
+    /// landed in two sinks.
+    fn folded(sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>>) -> Vec<Option<Vec<u8>>> {
+        let mut out: Vec<Option<Vec<u8>>> = Vec::new();
+        for sink in sinks {
+            let acc = sink.into_inner().accumulators();
+            out.resize(acc.len(), None);
+            for (node, slice) in acc.into_iter().enumerate() {
+                let Some(slice) = slice else { continue };
+                let mut bytes = Vec::new();
+                slice.serialize_into(&mut bytes);
+                assert!(out[node].replace(bytes).is_none(), "node {node} folded twice");
+            }
+        }
+        out
+    }
+
     #[test]
-    fn gather_round_each_delivers_every_shard_exactly_once() {
-        // Both transports' overlapped gathers must deliver the same entry
-        // multiset as the collect-everything gather_round, one reply per
-        // shard — whatever order the concurrent shard workers finish in.
+    fn gather_round_into_folds_every_shard_exactly_once() {
+        // A 4-shard fleet over either transport must fold exactly the round
+        // slices one shard holding every node folds — every node once, in
+        // whichever worker's sink — with one round trip per socket shard.
         let config = ShardConfig::in_ram(20, 4);
+        let params = config.params();
+        let mut reference = InProcessTransport::new(&ShardConfig::in_ram(20, 1)).unwrap();
         let mut in_proc = InProcessTransport::new(&config).unwrap();
         let (mut socket, handles) = spawn_local_socket_workers(&config).unwrap();
         for node in 0..20u32 {
             let batch = Batch { node, others: vec![encode_other((node + 1) % 20, false)] };
+            reference.send_batch(0, batch.clone()).unwrap();
             in_proc.send_batch(node % 4, batch.clone()).unwrap();
             socket.send_batch(node % 4, batch).unwrap();
         }
-        in_proc.flush().unwrap();
-        socket.flush().unwrap();
 
-        let reference = {
-            let mut v = in_proc.gather_round(1, None).unwrap();
-            v.sort_by_key(|e| e.node);
-            v
+        let roots = identity_roots(20);
+        let pool = WorkerPool::new(2);
+        let gather = |transport: &mut dyn ShardTransport| {
+            let sinks = sinks_for(&roots, 2);
+            transport.gather_round_into(1, None, &params, &|_| true, &pool, &sinks).unwrap();
+            folded(sinks)
         };
-        for transport in [&mut in_proc as &mut dyn ShardTransport, &mut socket] {
-            let mut replies = 0usize;
-            let mut collected = Vec::new();
-            transport
-                .gather_round_each(1, None, &mut |entries| {
-                    replies += 1;
-                    collected.extend(entries);
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(replies, 4, "one reply per shard");
-            collected.sort_by_key(|e| e.node);
-            assert_eq!(collected, reference);
-        }
+        let want = gather(&mut reference);
+        assert!(want.iter().all(Option::is_some), "every node has a slice");
+        assert_eq!(gather(&mut in_proc), want);
+        assert_eq!(gather(&mut socket), want);
 
         in_proc.shutdown().unwrap();
         socket.shutdown().unwrap();
         for h in handles {
-            h.join().unwrap().unwrap();
+            assert_eq!(h.join().unwrap().unwrap().gathers, 1, "one reply per shard");
         }
     }
 
     #[test]
-    fn gather_round_each_stops_folding_after_an_error() {
-        let config = ShardConfig::in_ram(12, 3);
-        let mut transport = InProcessTransport::new(&config).unwrap();
-        let mut replies = 0usize;
-        let result = transport.gather_round_each(0, None, &mut |_| {
-            replies += 1;
-            Err(GzError::Protocol("fold rejected".into()))
+    fn gather_round_into_stops_folding_at_a_bad_reply_but_drains_every_link() {
+        let config = ShardConfig::in_ram(8, 2);
+        let params = config.params();
+        let digest = config.params_digest();
+        // Shard 0 answers the round with a bad representation tag, then
+        // serves a Flush; shard 1 is a healthy worker.
+        let (ours0, theirs0) = UnixStream::pair().unwrap();
+        let bad = handshake_then(theirs0, |mut stream| {
+            let round = match WireMessage::read_from(&mut stream).unwrap() {
+                WireMessage::GatherRound { round, .. } => round,
+                other => panic!("expected GatherRound, got {}", other.name()),
+            };
+            let entries = vec![SketchEntry { node: 0, bytes: vec![7] }];
+            WireMessage::RoundSketches { round, entries }.write_to(&mut stream).unwrap();
+            assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Flush));
+            WireMessage::FlushAck.write_to(&mut stream).unwrap();
+            assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Shutdown));
         });
-        assert!(matches!(result, Err(GzError::Protocol(_))));
-        assert_eq!(replies, 1, "folding must stop at the first error");
+        let (ours1, theirs1) = UnixStream::pair().unwrap();
+        let config1 = config.clone();
+        let good = std::thread::spawn(move || {
+            let pipeline = ShardPipeline::new(&config1, 1).unwrap();
+            let mut stream = theirs1;
+            serve_shard_connection(&mut stream, &pipeline, digest)
+        });
+        let mut transport = SocketTransport::handshake(vec![ours0, ours1], digest).unwrap();
+
+        let roots = identity_roots(8);
+        let sinks = sinks_for(&roots, 1);
+        let result =
+            transport.gather_round_into(0, None, &params, &|_| true, &WorkerPool::new(1), &sinks);
+        assert!(matches!(result, Err(GzError::Protocol(_))), "bad tag is a typed error");
+        assert!(folded(sinks).iter().all(Option::is_none), "folding must stop at the first error");
+        // Shard 1's reply was drained: the next exchange on its link reads
+        // a FlushAck, not a stale RoundSketches.
+        transport.flush().unwrap();
         transport.shutdown().unwrap();
+        bad.join().unwrap();
+        good.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn validate_round_entry_rejects_bad_frames() {
+        let check = |bytes: Vec<u8>| {
+            let mut seen = vec![false; 4];
+            validate_round_entry(&mut seen, &SketchEntry { node: 1, bytes }, 0, 8)
+        };
+        assert!(check(vec![]).is_err(), "empty entry");
+        assert!(check(vec![7, 0, 0]).is_err(), "unknown tag");
+        assert!(check(vec![0; 8]).is_err(), "dense payload one byte short");
+        assert!(check(vec![0; 9]).is_ok(), "dense tag + 8 payload bytes");
+        assert!(check(vec![1, 2, 0, 0, 0, 5, 0, 0, 0]).is_err(), "sparse count over-claims");
+        assert!(
+            check(vec![1, 1, 0, 0, 0, 5, 0, 0, 0]).is_ok(),
+            "well-formed single-neighbor sparse set"
+        );
+        assert!(
+            check(vec![1, 2, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0]).is_err(),
+            "duplicate neighbors are malformed"
+        );
     }
 
     #[test]
@@ -1596,7 +1600,17 @@ mod tests {
             stream.write_all(&frame[..frame.len() - 1]).unwrap();
         });
         let mut transport = SocketTransport::handshake(vec![ours], digest).unwrap();
-        let err = transport.gather_round(0, None).expect_err("truncated reply");
+        let roots = identity_roots(16);
+        let err = transport
+            .gather_round_into(
+                0,
+                None,
+                &config.params(),
+                &|_| true,
+                &WorkerPool::new(1),
+                &sinks_for(&roots, 1),
+            )
+            .expect_err("truncated reply");
         assert_kind(err, TransportErrorKind::PeerGone, "mid-GatherRound");
         worker.join().unwrap();
     }

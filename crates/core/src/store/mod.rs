@@ -23,7 +23,7 @@ pub use io_backend::{IoBackendConfig, IoBackendKind};
 pub use uring::uring_available;
 
 use crate::boruvka::RoundSink;
-use crate::config::{GzConfig, StoreBackend};
+use crate::config::{GzConfig, LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
 use crate::sparse::SparseSet;
@@ -129,27 +129,49 @@ pub enum SketchStore {
 }
 
 impl SketchStore {
-    /// Build the store selected by `config`.
+    /// Build the single-node store `config` selects (every vertex).
     pub fn build(config: &GzConfig, params: Arc<SketchParams>) -> Result<Self, GzError> {
-        let node_set = NodeSet::all(params.num_nodes);
-        match &config.store {
+        Self::for_nodes(
+            &config.store,
+            params,
+            NodeSet::all(config.num_nodes),
+            &format!("gz_sketches_{}", config.seed),
+            config.locking,
+            config.sketch_threshold,
+            config.io,
+        )
+    }
+
+    /// Build the store `backend` selects over `node_set` — the one place
+    /// that chooses between RAM and disk. A disk store's file lands in the
+    /// backend's directory as `{file_stem}_{pid}.bin`, so concurrent
+    /// processes sharing a directory never collide.
+    pub fn for_nodes(
+        backend: &StoreBackend,
+        params: Arc<SketchParams>,
+        node_set: NodeSet,
+        file_stem: &str,
+        locking: LockingStrategy,
+        sketch_threshold: u32,
+        io: IoBackendConfig,
+    ) -> Result<Self, GzError> {
+        match backend {
             StoreBackend::Ram => Ok(SketchStore::Ram(ram::RamStore::for_nodes_with_threshold(
                 params,
-                config.locking,
+                locking,
                 node_set,
-                config.sketch_threshold,
+                sketch_threshold,
             ))),
             StoreBackend::Disk { dir, block_bytes, cache_groups } => {
-                let path =
-                    dir.join(format!("gz_sketches_{}_{}.bin", std::process::id(), config.seed));
+                let path = dir.join(format!("{file_stem}_{}.bin", std::process::id()));
                 Ok(SketchStore::Disk(disk::DiskStore::for_nodes_with_options(
                     params,
                     node_set,
                     path,
                     *block_bytes,
                     *cache_groups,
-                    config.sketch_threshold,
-                    config.io,
+                    sketch_threshold,
+                    io,
                 )?))
             }
         }

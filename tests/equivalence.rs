@@ -519,7 +519,8 @@ mod hybrid_representation_proptests {
         /// promotion by replay) is *bit-identical* to the always-dense
         /// system (τ = 0) on arbitrary churny streams — serialized sketch
         /// state, streaming labels, and forest — across Ram/Disk stores and
-        /// shard counts {1, 3}. Small universes with many updates force
+        /// shard counts {1, 3} × {in-process, socket}; the socket lane
+        /// carries tag-1 sparse sets over the wire. Small universes with many updates force
         /// mid-stream promotions; delete pairs keep other nodes sparse.
         #[test]
         fn hybrid_bit_identical_to_dense_everywhere(
@@ -558,25 +559,28 @@ mod hybrid_representation_proptests {
                 prop_assert_eq!(&reference.labels, &got.labels, "disk labels τ={}", tau);
                 prop_assert_eq!(&reference.forest, &got.forest, "disk forest τ={}", tau);
 
-                for shards in [1u32, 3] {
+                for (shards, transport) in [1u32, 3]
+                    .into_iter()
+                    .flat_map(|k| [(k, Transport::InProcess), (k, Transport::Socket)])
+                {
                     let mut cfg = ShardConfig::in_ram(n, shards);
                     cfg.sketch_threshold = tau;
-                    let mut gz = ShardedGraphZeppelin::in_process(cfg).unwrap();
+                    let mut gz = sharded_system(cfg, transport);
                     for &(u, v, d) in &updates {
                         gz.update(u, v, d).unwrap();
                     }
                     prop_assert_eq!(
                         &gz.gather_serialized().unwrap(), &ref_state,
-                        "sharded state τ={} shards={}", tau, shards
+                        "sharded state τ={} shards={} {:?}", tau, shards, transport
                     );
                     let got = gz.spanning_forest().unwrap();
                     prop_assert_eq!(
                         &reference.labels, &got.labels,
-                        "sharded labels τ={} shards={}", tau, shards
+                        "sharded labels τ={} shards={} {:?}", tau, shards, transport
                     );
                     prop_assert_eq!(
                         &reference.forest, &got.forest,
-                        "sharded forest τ={} shards={}", tau, shards
+                        "sharded forest τ={} shards={} {:?}", tau, shards, transport
                     );
                     gz.shutdown().unwrap();
                 }
@@ -587,7 +591,7 @@ mod hybrid_representation_proptests {
         /// mid-stream, keep ingesting the suffix (promoting more nodes),
         /// and the pinned answer must still be bit-identical to a dense
         /// system fed only the prefix — on single-node Ram and a 3-shard
-        /// fleet.
+        /// fleet over both transports.
         #[test]
         fn hybrid_epoch_pins_match_dense_prefix(
             n in 4u64..24,
@@ -614,22 +618,28 @@ mod hybrid_representation_proptests {
             prop_assert_eq!(&reference.labels, &pinned.labels, "pinned ram labels");
             prop_assert_eq!(&reference.forest, &pinned.forest, "pinned ram forest");
 
-            let mut cfg = ShardConfig::in_ram(n, 3);
-            cfg.sketch_threshold = 4;
-            let mut sharded = ShardedGraphZeppelin::in_process(cfg).unwrap();
-            for &(u, v, d) in prefix {
-                sharded.update(u, v, d).unwrap();
+            for transport in [Transport::InProcess, Transport::Socket] {
+                let mut cfg = ShardConfig::in_ram(n, 3);
+                cfg.sketch_threshold = 4;
+                let mut sharded = sharded_system(cfg, transport);
+                for &(u, v, d) in prefix {
+                    sharded.update(u, v, d).unwrap();
+                }
+                let epoch = sharded.begin_epoch().unwrap();
+                for &(u, v, d) in suffix {
+                    sharded.update(u, v, d).unwrap();
+                }
+                sharded.flush().unwrap();
+                let pinned = epoch.spanning_forest().unwrap();
+                prop_assert_eq!(
+                    &reference.labels, &pinned.labels, "pinned sharded labels {:?}", transport
+                );
+                prop_assert_eq!(
+                    &reference.forest, &pinned.forest, "pinned sharded forest {:?}", transport
+                );
+                drop(epoch);
+                sharded.shutdown().unwrap();
             }
-            let epoch = sharded.begin_epoch().unwrap();
-            for &(u, v, d) in suffix {
-                sharded.update(u, v, d).unwrap();
-            }
-            sharded.flush().unwrap();
-            let pinned = epoch.spanning_forest().unwrap();
-            prop_assert_eq!(&reference.labels, &pinned.labels, "pinned sharded labels");
-            prop_assert_eq!(&reference.forest, &pinned.forest, "pinned sharded forest");
-            drop(epoch);
-            sharded.shutdown().unwrap();
         }
     }
 }
