@@ -187,7 +187,7 @@ impl Table {
 
 /// Split a stream into the insert-only / delete-only batch arrays the paper
 /// feeds Aspen and Terrace (§6.2: "we group the input stream into batches
-/// [of] insertions and deletions … whenever one of these arrays fills, we
+/// \[of\] insertions and deletions … whenever one of these arrays fills, we
 /// feed it into the appropriate batch update function").
 pub fn batch_for_baselines(
     updates: &[EdgeUpdate],

@@ -129,7 +129,7 @@ pub enum Command {
         /// Borůvka query-engine threads (`None` = the worker count).
         query_threads: Option<usize>,
         /// Bounded staleness for queries: reuse a sealed epoch
-        /// while it lags fewer than this many updates (`None` = always
+        /// while it lags at most this many updates (`None` = always
         /// query fresh state).
         staleness: Option<u64>,
         /// Hybrid-representation promotion threshold τ: nodes stay exact
@@ -321,7 +321,7 @@ fn set_switch(slot: &mut bool, flag: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse a full argument vector (without argv[0]).
+/// Parse a full argument vector (without `argv[0]`).
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let sub = it.next().ok_or(

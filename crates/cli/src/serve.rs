@@ -31,13 +31,13 @@
 //!   [`ServeHandle::shutdown`]) stops admissions, force-closes clients,
 //!   cuts one final checkpoint round, and exits 0.
 //!
-//! Queries run on sealed epochs ([`ShardedGraphZeppelin::begin_epoch`]) so
+//! Queries run on sealed epochs ([`ShardedGraphZeppelin::query_epoch`]) so
 //! they overlap ingestion from other connections; an epoch is reused while
-//! it lags fewer than `--staleness` acked updates.
+//! it lags at most `--staleness` acked updates, and the system drops its
+//! cached epoch as soon as the stream moves past that budget.
 
 use graph_zeppelin::{
-    GzError, ServeManifest, ShardConfig, ShardedEpoch, ShardedGraphZeppelin, TransportTimeouts,
-    UpdateWal,
+    GzError, ServeManifest, ShardConfig, ShardedGraphZeppelin, TransportTimeouts, UpdateWal,
 };
 use gz_gutters::ServeStats;
 use gz_stream::wire::{QueryAnswer, QueryKind, WireMessage, WireUpdate};
@@ -317,8 +317,6 @@ struct ServeShared {
     /// Updates acked so far. Written only under the ingest lock; read
     /// lock-free by queries and hello replies.
     acked: AtomicU64,
-    /// Cached sealed epoch: `(epoch, acked at seal time)`.
-    epoch_cache: Mutex<Option<(Arc<ShardedEpoch>, u64)>>,
     stats: Arc<ServeStats>,
     active: AtomicU32,
     shutting_down: AtomicBool,
@@ -329,7 +327,6 @@ struct ServeShared {
     num_shards: u32,
     seed: u64,
     max_clients: u32,
-    staleness: u64,
     timeouts: TransportTimeouts,
 }
 
@@ -356,30 +353,16 @@ impl ServeShared {
         Ok(acked)
     }
 
-    /// The epoch queries should run on: the cached one while it is fresh
-    /// enough, else a newly sealed one. Sealing holds the ingest lock;
-    /// the query itself never does.
-    fn query_epoch(&self) -> Result<Arc<ShardedEpoch>, GzError> {
-        let acked = self.acked.load(Ordering::Acquire);
-        if let Some((epoch, at)) = self.epoch_cache.lock().unwrap().as_ref() {
-            if acked.saturating_sub(*at) <= self.staleness {
-                return Ok(Arc::clone(epoch));
-            }
-        }
-        let mut ingest = self.ingest.lock().unwrap();
-        let Some(system) = ingest.system.as_mut() else {
-            return Err(GzError::Protocol("daemon is shutting down".into()));
-        };
-        let sealed = Arc::new(system.begin_epoch()?);
-        // `acked` cannot move while we hold the ingest lock.
-        let at = self.acked.load(Ordering::Relaxed);
-        drop(ingest);
-        *self.epoch_cache.lock().unwrap() = Some((Arc::clone(&sealed), at));
-        Ok(sealed)
-    }
-
+    /// Answer one query: take the system's staleness-bounded epoch (cached,
+    /// or sealed now) under the ingest lock, then fold it outside the lock.
     fn answer(&self, kind: QueryKind) -> Result<QueryAnswer, GzError> {
-        let epoch = self.query_epoch()?;
+        let epoch = {
+            let mut ingest = self.ingest.lock().unwrap();
+            let Some(system) = ingest.system.as_mut() else {
+                return Err(GzError::Protocol("daemon is shutting down".into()));
+            };
+            system.query_epoch()?
+        };
         let outcome = epoch.spanning_forest()?;
         Ok(match kind {
             QueryKind::NumComponents => QueryAnswer::NumComponents(outcome.num_components() as u64),
@@ -644,8 +627,6 @@ impl ServeHandle {
         for handle in std::mem::take(&mut *handlers.lock().unwrap()) {
             handle.join().expect("connection handler panicked");
         }
-        // Epochs release before the system shuts its transport down.
-        *shared.epoch_cache.lock().unwrap() = None;
         // One final round so the durable state covers every acked update
         // without any WAL tail to replay.
         shared.cut_round()?;
@@ -679,6 +660,7 @@ fn build_system(
     let mut config = ShardConfig::in_ram(options.nodes, options.shards);
     config.seed = options.seed;
     config.workers_per_shard = options.workers;
+    config.query_staleness = Some(options.staleness);
     let mut system = ShardedGraphZeppelin::in_process(config)?;
 
     let Some(dir) = &options.dir else { return Ok((system, None, 0)) };
@@ -756,7 +738,6 @@ pub fn serve_start(options: &ServeOptions) -> Result<ServeHandle, GzError> {
     let shared = Arc::new(ServeShared {
         ingest: Mutex::new(IngestState { system: Some(system), durability, rounds_cut: 0 }),
         acked: AtomicU64::new(acked),
-        epoch_cache: Mutex::new(None),
         stats: Arc::new(ServeStats::new()),
         active: AtomicU32::new(0),
         shutting_down: AtomicBool::new(false),
@@ -766,7 +747,6 @@ pub fn serve_start(options: &ServeOptions) -> Result<ServeHandle, GzError> {
         num_shards: options.shards,
         seed: options.seed,
         max_clients: options.max_clients,
-        staleness: options.staleness,
         timeouts: options.timeouts(),
     });
 

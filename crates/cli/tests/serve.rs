@@ -408,3 +408,58 @@ fn queries_overlap_ingestion_without_blocking_it() {
     wait_until("connections to retire", || handle.active_clients() == 0);
     handle.shutdown().expect("daemon shutdown");
 }
+
+#[test]
+fn staleness_budget_reuses_then_reseals_against_the_oracle() {
+    use gz_graph::connectivity::connected_components_dsu;
+    use gz_graph::{AdjacencyList, Edge};
+
+    const NODES: u64 = 64;
+    const U: u64 = 10;
+    let mut options = tcp_options(NODES);
+    options.staleness = U;
+    let handle = serve_start(&options).expect("start daemon");
+    let mut client = connect(&handle);
+
+    let mut acked: Vec<(u32, u32, bool)> = Vec::new();
+    let oracle = |acked: &[(u32, u32, bool)]| {
+        let mut mirror = AdjacencyList::new(NODES as usize);
+        for &(u, v, _) in acked {
+            mirror.toggle(Edge::new(u, v));
+        }
+        connected_components_dsu(&mirror)
+    };
+    let send = |client: &mut ServeClient, acked: &mut Vec<_>, batch: &[(u32, u32, bool)]| {
+        let total = client.send_updates(batch).expect("batch acked");
+        acked.extend_from_slice(batch);
+        assert_eq!(total, acked.len() as u64);
+    };
+
+    // A path over 0..32; 32..64 stay singletons.
+    let path: Vec<_> = (0..31u32).map(|i| (i, i + 1, false)).collect();
+    send(&mut client, &mut acked, &path);
+    let sealed = client.query_components().expect("first query");
+    assert_eq!(sealed, oracle(&acked), "the first query seals every acked update");
+
+    // Up to U more acked updates, each of which moves the graph: the
+    // daemon may (and, with one reader, does) answer from the same epoch.
+    let mut lag = 0;
+    for chunk in (31..31 + U as u32).map(|i| (i, i + 1, false)).collect::<Vec<_>>().chunks(4) {
+        send(&mut client, &mut acked, chunk);
+        lag += chunk.len() as u64;
+        let reused = client.query_components().expect("query within the budget");
+        assert_eq!(reused, sealed, "a lag of {lag} ≤ {U} reuses the sealed epoch");
+    }
+    assert_eq!(lag, U);
+
+    // One more update puts the epoch past the budget: the next query
+    // reseals and matches the oracle over every acked update.
+    send(&mut client, &mut acked, &[(50, 51, false)]);
+    let fresh = client.query_components().expect("query past the budget");
+    assert_ne!(fresh, sealed, "the stream moved past the budget");
+    assert_eq!(fresh, oracle(&acked), "a fresh seal covers every acked update");
+
+    client.shutdown().expect("goodbye");
+    wait_until("connection to retire", || handle.active_clients() == 0);
+    handle.shutdown().expect("daemon shutdown");
+}

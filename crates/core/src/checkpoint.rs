@@ -150,7 +150,7 @@ pub struct CheckpointHeader {
 
 impl GraphZeppelin {
     /// Flush all buffered updates and durably write the sketch state to
-    /// `path` (see [`write_durably`]: a failed save keeps the previous
+    /// `path` (through `write_durably`: a failed save keeps the previous
     /// checkpoint).
     pub fn save_checkpoint(&mut self, path: &Path) -> Result<CheckpointHeader, GzError> {
         self.flush();
@@ -367,7 +367,7 @@ pub fn read_shard_checkpoint_header(path: &Path) -> Result<ShardCheckpointHeader
 }
 
 /// Persist a shard's owned sketch state (already densified by
-/// `snapshot_owned`) to `path` through [`write_durably`]: a crash at any
+/// `snapshot_owned`) to `path` through `write_durably`: a crash at any
 /// point leaves either the old checkpoint or the new one — never a torn
 /// file that would silently regress the durable `seq`.
 pub fn save_shard_checkpoint(
@@ -595,7 +595,7 @@ impl ServeManifest {
         out
     }
 
-    /// Atomically publish this manifest at `path` ([`write_durably`]): a
+    /// Atomically publish this manifest at `path` (`write_durably`): a
     /// crash leaves either the previous round current or this one — never
     /// a torn manifest.
     pub fn save(&self, path: &Path) -> Result<(), GzError> {

@@ -41,7 +41,7 @@ impl<S: L0Sampler> NodeSketch<S> {
     /// Mutable access to all rounds — lets the ingestion pipeline split a
     /// batch across a worker's thread group (*sketch-level parallelism*,
     /// paper §5.1: rounds are independent, so "a CubeSketch is only modified
-    /// by one thread in a group [and] no locking is necessary at the sketch
+    /// by one thread in a group \[and\] no locking is necessary at the sketch
     /// level").
     #[inline]
     pub fn rounds_mut(&mut self) -> &mut [S] {

@@ -49,6 +49,7 @@ use crate::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome};
 use crate::config::{GutterCapacity, LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
+use crate::store::epoch::EpochCache;
 use crate::store::io_backend::IoBackendConfig;
 use crate::store::SketchSource;
 use gz_gutters::WorkerPool;
@@ -215,10 +216,9 @@ pub struct ShardedGraphZeppelin {
     num_nodes: u64,
     updates: u64,
     query_threads: usize,
-    /// Last sealed epoch and the update count at its seal — the bounded-
-    /// staleness cache (`ShardConfig::query_staleness`).
-    cached_epoch: Option<(ShardedEpoch, u64)>,
-    query_staleness: Option<u64>,
+    /// The epoch bounded-staleness queries reuse
+    /// (`ShardConfig::query_staleness`).
+    epochs: EpochCache<ShardedEpoch>,
     /// Checkpoint cadence in routed batches (`ShardConfig::checkpoint_every`).
     checkpoint_every: Option<u64>,
     /// Router batch count at the last fleet checkpoint.
@@ -283,8 +283,7 @@ impl ShardedGraphZeppelin {
             num_nodes: config.num_nodes,
             updates: 0,
             query_threads: config.query_threads(),
-            cached_epoch: None,
-            query_staleness: config.query_staleness,
+            epochs: EpochCache::new(config.query_staleness),
             checkpoint_every: config.checkpoint_every,
             last_checkpoint_batches: 0,
             shut_down: false,
@@ -321,6 +320,8 @@ impl ShardedGraphZeppelin {
             })?;
         }
         self.updates += 1;
+        // Outside the transport lock: a dropped epoch releases over it.
+        self.epochs.note_update(self.updates);
         if let Some(every) = self.checkpoint_every {
             if self.router.batches_emitted() - self.last_checkpoint_batches >= every {
                 self.checkpoint_shards()?;
@@ -423,22 +424,32 @@ impl ShardedGraphZeppelin {
     /// `rounds`-fold smaller than a full gather), so the coordinator never
     /// materializes the whole universe.
     ///
-    /// With `ShardConfig::query_staleness = Some(n)` the query answers from
-    /// the last sealed epoch while it is at most `n` updates stale,
-    /// resealing only when the budget is blown — the sharded form of
+    /// With `ShardConfig::query_staleness = Some(n)` the query folds
+    /// [`Self::query_epoch`] instead — the sharded form of
     /// [`crate::GraphZeppelin::spanning_forest`]'s knob.
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let Some(max_lag) = self.query_staleness else {
-            self.flush()?;
-            return gather_query(&self.transport, &self.params, None, self.query_threads);
-        };
-        let fresh_enough = matches!(&self.cached_epoch, Some((_, sealed_at)) if self.updates - sealed_at <= max_lag);
-        if !fresh_enough {
-            let epoch = self.begin_epoch()?;
-            self.cached_epoch = Some((epoch, self.updates));
+        if self.epochs.budget().is_some() {
+            return self.query_epoch()?.spanning_forest();
         }
-        let (epoch, _) = self.cached_epoch.as_ref().expect("epoch sealed above");
-        epoch.spanning_forest()
+        self.flush()?;
+        gather_query(&self.transport, &self.params, None, self.query_threads)
+    }
+
+    /// The epoch a bounded-staleness query answers from: the cached one
+    /// while at most `ShardConfig::query_staleness` updates were routed
+    /// since its seal, else a freshly sealed one (which is cached in
+    /// turn). A stale cached epoch is released before the new seal's
+    /// flush, and [`Self::update`] releases it as soon as the stream moves
+    /// past the budget, so only handles a caller still holds keep the
+    /// shards capturing pre-images (DESIGN.md §11). With
+    /// `query_staleness = None` every call seals afresh. `gz serve` takes
+    /// this under its ingest lock and folds the handle outside it.
+    pub fn query_epoch(&mut self) -> Result<Arc<ShardedEpoch>, GzError> {
+        if let Some(epoch) = self.epochs.fresh(self.updates) {
+            return Ok(epoch);
+        }
+        let epoch = self.begin_epoch()?;
+        Ok(self.epochs.keep(epoch, self.updates))
     }
 
     /// Flush, then seal one epoch on every shard and hand back a query
@@ -490,7 +501,7 @@ impl ShardedGraphZeppelin {
         self.shut_down = true;
         // Release the cached epoch while the shards still serve — its Drop
         // sends ReleaseEpoch, which must precede Shutdown on the links.
-        self.cached_epoch = None;
+        self.epochs.clear();
         self.transport.lock().shutdown()
     }
 }

@@ -540,8 +540,7 @@ impl DiskStore {
     }
 
     /// Flush every dirty cached group back to the file (adjacent dirty
-    /// groups coalesce into single contiguous writes; see
-    /// [`Self::writeback_dirty`]).
+    /// groups coalesce into single contiguous writes).
     pub fn flush(&self) -> std::io::Result<()> {
         let mut cache = self.cache.lock();
         self.writeback_dirty(&mut cache)
@@ -909,7 +908,7 @@ impl DiskStore {
     /// being folded, and up to one submission window the prefetcher may
     /// hold in flight while blocked in `push`. With `threads > 1` workers
     /// read for themselves — each holds at most one window of slices. The
-    /// window never exceeds the cache budget (see [`Self::stream_window`]),
+    /// window never exceeds the cache budget (see `stream_window`),
     /// so batching deepens the pipeline without forfeiting the `M` bound.
     pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
         let slice = self.group_size as usize * self.params.round_serialized_bytes(round);

@@ -245,6 +245,71 @@ impl SketchEpoch {
     }
 }
 
+/// The bounded-staleness cache of one sealed epoch, shared by both system
+/// facades (`query_staleness`, DESIGN.md §11). It holds at most one epoch
+/// together with the update count at its seal, and never keeps it past
+/// the budget: a cached epoch keeps capturing pre-images (one node's full
+/// sketch per first touch) for as long as it lives, so one no reader can
+/// be handed any more must go at once. The cache drops its handle
+///
+/// - in [`Self::note_update`], as soon as the stream is more than
+///   `budget` updates past the seal, and
+/// - in [`Self::fresh`], when a query finds it stale — before the caller
+///   seals a replacement, so the seal's flush captures nothing for it.
+///
+/// A reader still holding its own `Arc` keeps that epoch alive and
+/// capturing, so its answers stay bit-identical to the seal. With no
+/// budget (`None`) nothing is ever cached.
+pub(crate) struct EpochCache<E> {
+    budget: Option<u64>,
+    cached: Option<(Arc<E>, u64)>,
+}
+
+impl<E> EpochCache<E> {
+    pub(crate) fn new(budget: Option<u64>) -> Self {
+        EpochCache { budget, cached: None }
+    }
+
+    /// The staleness budget, in updates (`None`: queries never reuse).
+    pub(crate) fn budget(&self) -> Option<u64> {
+        self.budget
+    }
+
+    /// Record that the stream now stands at `updates`: drop the cached
+    /// epoch once it lags more than the budget.
+    #[inline]
+    pub(crate) fn note_update(&mut self, updates: u64) {
+        if let (Some((_, sealed_at)), Some(budget)) = (&self.cached, self.budget) {
+            if updates - sealed_at > budget {
+                self.cached = None;
+            }
+        }
+    }
+
+    /// The cached epoch if it lags at most the budget at `updates`;
+    /// otherwise drop it and return `None`, so the caller seals a fresh one
+    /// and hands it to [`Self::keep`].
+    pub(crate) fn fresh(&mut self, updates: u64) -> Option<Arc<E>> {
+        self.note_update(updates);
+        self.cached.as_ref().map(|(epoch, _)| Arc::clone(epoch))
+    }
+
+    /// Cache `epoch`, sealed at `updates`, when there is a budget to reuse
+    /// it within; return the caller's handle either way.
+    pub(crate) fn keep(&mut self, epoch: E, updates: u64) -> Arc<E> {
+        let epoch = Arc::new(epoch);
+        if self.budget.is_some() {
+            self.cached = Some((Arc::clone(&epoch), updates));
+        }
+        epoch
+    }
+
+    /// Drop the cached epoch (restore, shutdown).
+    pub(crate) fn clear(&mut self) {
+        self.cached = None;
+    }
+}
+
 /// The epoch-pinned streaming source: round slices come from the store's
 /// open generation, masked by the overlay's sealed pre-images — same
 /// storage-friendly access pattern as [`crate::StoreRoundSource`], without

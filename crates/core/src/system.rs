@@ -6,6 +6,7 @@ use crate::config::{BufferStrategy, GzConfig, StoreBackend};
 use crate::error::GzError;
 use crate::ingest::{IngestCounters, WorkerPool};
 use crate::node_sketch::{encode_other, SketchParams};
+use crate::store::epoch::EpochCache;
 use crate::store::{RepStats, SketchEpoch, SketchStore, StoreRoundSource};
 use gz_graph::Edge;
 use gz_gutters::{BufferingSystem, GutterTree, GutterTreeConfig, IoStats, LeafGutters, WorkQueue};
@@ -63,10 +64,9 @@ pub struct GraphZeppelin {
     updates_ingested: u64,
     gutter_io: Option<Arc<IoStats>>,
     buffer_capacity_bytes: usize,
-    /// The epoch bounded-staleness queries reuse, with the update count at
-    /// its seal (`config.query_staleness`; `None` until the first such
-    /// query).
-    cached_epoch: Option<(SketchEpoch, u64)>,
+    /// The epoch bounded-staleness queries reuse
+    /// (`config.query_staleness`).
+    epochs: EpochCache<SketchEpoch>,
     /// The query worker pool, built lazily for the resolved thread count
     /// and reused across queries (and across the rounds of each query)
     /// instead of spawning `query_threads` OS threads per call. Rebuilt
@@ -124,6 +124,7 @@ impl GraphZeppelin {
             Arc::clone(&store),
         );
         let counters = workers.counters();
+        let epochs = EpochCache::new(config.query_staleness);
 
         Ok(GraphZeppelin {
             config,
@@ -136,24 +137,19 @@ impl GraphZeppelin {
             updates_ingested: 0,
             gutter_io,
             buffer_capacity_bytes,
-            cached_epoch: None,
+            epochs,
             query_pool: None,
         })
     }
 
-    /// Make sure `query_pool` holds a pool for the currently-resolved
-    /// thread count, building (or rebuilding) it if not.
-    fn ensure_query_pool(&mut self) {
+    /// The cached query pool for the resolved thread count, built (or
+    /// rebuilt) if the count changed.
+    fn query_pool(&mut self) -> &gz_gutters::WorkerPool {
         let threads = self.config.query_threads();
         if self.query_pool.as_ref().map(|(t, _)| *t) != Some(threads) {
             self.query_pool = Some((threads, gz_gutters::WorkerPool::new(threads)));
         }
-    }
-
-    /// The cached query pool for the resolved thread count.
-    fn query_pool(&mut self) -> &gz_gutters::WorkerPool {
-        self.ensure_query_pool();
-        &self.query_pool.as_ref().expect("pool ensured above").1
+        &self.query_pool.as_ref().expect("pool built above").1
     }
 
     /// Ingest one stream update — a *toggle* of edge `(u, v)` (paper
@@ -178,6 +174,7 @@ impl GraphZeppelin {
         self.buffering.insert(u, encode_other(v, is_delete));
         self.buffering.insert(v, encode_other(u, is_delete));
         self.updates_ingested += 1;
+        self.epochs.note_update(self.updates_ingested);
     }
 
     /// Ingest a whole stream of `(u, v, is_delete)` updates.
@@ -203,31 +200,35 @@ impl GraphZeppelin {
     /// group reads on disk, single-threaded prefetch pipeline at one
     /// thread). Answers are bit-identical at any thread count.
     ///
-    /// With `config.query_staleness = Some(n)`, the query reuses the last
-    /// sealed epoch while it is at most `n` updates old (sealing a fresh
-    /// one otherwise) and folds it through the epoch read path — ingestion
-    /// is never stopped, and the answer reflects the sealed cut.
+    /// With `config.query_staleness = Some(n)`, the query folds
+    /// [`Self::query_epoch`] through the epoch read path instead —
+    /// ingestion is never stopped, and the answer reflects the sealed cut.
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let Some(max_lag) = self.config.query_staleness else {
-            self.flush();
-            let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
-            let store = Arc::clone(&self.store);
-            let pool = self.query_pool();
-            let mut source = StoreRoundSource::new(&store);
-            return boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool);
-        };
-        let fresh_enough = matches!(
-            &self.cached_epoch,
-            Some((_, sealed_at)) if self.updates_ingested - sealed_at <= max_lag
-        );
-        if !fresh_enough {
-            let epoch = self.begin_epoch()?;
-            self.cached_epoch = Some((epoch, self.updates_ingested));
+        if self.epochs.budget().is_some() {
+            let epoch = self.query_epoch()?;
+            return epoch.spanning_forest_with_pool(self.query_pool());
         }
-        self.ensure_query_pool();
-        let pool = &self.query_pool.as_ref().expect("pool ensured above").1;
-        let (epoch, _) = self.cached_epoch.as_ref().expect("epoch sealed above");
-        epoch.spanning_forest_with_pool(pool)
+        self.flush();
+        let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
+        let store = Arc::clone(&self.store);
+        let pool = self.query_pool();
+        let mut source = StoreRoundSource::new(&store);
+        boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool)
+    }
+
+    /// The epoch a bounded-staleness query answers from: the cached one
+    /// while it lags at most `config.query_staleness` updates, else a
+    /// freshly sealed one (which is cached in turn). A stale cached epoch
+    /// is released before the new seal's flush, and [`Self::update`]
+    /// releases it as soon as the stream moves past the budget, so only
+    /// handles a caller still holds keep capturing pre-images (DESIGN.md
+    /// §11). With `query_staleness = None` every call seals afresh.
+    pub fn query_epoch(&mut self) -> Result<Arc<SketchEpoch>, GzError> {
+        if let Some(epoch) = self.epochs.fresh(self.updates_ingested) {
+            return Ok(epoch);
+        }
+        let epoch = self.begin_epoch()?;
+        Ok(self.epochs.keep(epoch, self.updates_ingested))
     }
 
     /// Seal the current sketch state into an epoch: flush buffered updates,
@@ -364,7 +365,7 @@ impl GraphZeppelin {
         self.updates_ingested = updates_ingested;
         // A restore rewrites history; a cached staleness epoch would serve
         // pre-restore answers.
-        self.cached_epoch = None;
+        self.epochs.clear();
     }
 
     /// Shut down: close the queue and join the Graph Workers. Called

@@ -1,8 +1,8 @@
 //! Vertex-id interning for streams with non-integer node identifiers.
 //!
 //! Paper §2.2: "even if nodes are identified in the input stream as
-//! arbitrary strings instead of integer IDs in the range [V], we can use a
-//! hash function with range [O(U²)] to ensure that every node gets a unique
+//! arbitrary strings instead of integer IDs in the range \[V\], we can use a
+//! hash function with range \[O(U²)\] to ensure that every node gets a unique
 //! integer ID with high probability." This module provides both flavors:
 //!
 //! - [`VertexInterner`] — exact assignment (hash map to dense ids), the

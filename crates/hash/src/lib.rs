@@ -1,6 +1,6 @@
 //! Hashing substrate for the GraphZeppelin reproduction.
 //!
-//! The paper computes all sketch hashes with xxHash ([19] in the paper); this
+//! The paper computes all sketch hashes with xxHash (\[19\] in the paper); this
 //! crate provides a from-scratch, spec-conformant xxHash64 implementation plus
 //! the theoretically clean alternative the analysis assumes: a 2-universal
 //! (pairwise independent) multiply-mod-Mersenne family. Sketches are generic

@@ -161,7 +161,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Size specifications accepted by [`vec`].
+    /// Size specifications accepted by [`vec()`].
     pub trait SizeRange {
         fn pick(&self, rng: &mut SmallRng) -> usize;
     }

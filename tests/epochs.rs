@@ -6,10 +6,15 @@
 //! vertex set is sharded, or how many threads fold the answer. The
 //! satellite half pins reclamation: an epoch's copy-on-write overlay is
 //! bounded by the touched set, captures each group at most once, and does
-//! not accumulate across seal/query/drop cycles.
+//! not accumulate across seal/query/drop cycles, and the bounded-staleness
+//! cache (`query_epoch`) holds an epoch no longer than its budget.
 
-use graph_zeppelin::{GraphZeppelin, GzConfig, ShardConfig, ShardedGraphZeppelin, StoreBackend};
+use graph_zeppelin::{
+    BoruvkaOutcome, GraphZeppelin, GzConfig, ShardConfig, ShardedEpoch, ShardedGraphZeppelin,
+    SketchEpoch, StoreBackend,
+};
 use gz_testutil::TempDir;
+use std::sync::{Arc, Weak};
 
 fn ingest_single(gz: &mut GraphZeppelin, updates: &[(u32, u32, bool)]) {
     for &(u, v, d) in updates {
@@ -189,6 +194,140 @@ fn dropped_epochs_stop_capturing() {
     }
     gz.flush();
     assert!(third.captured_groups() > 0, "live epoch still captures");
+}
+
+/// The two system facades, seen through what the staleness-cache tests
+/// need: ingest one update, take the bounded-staleness epoch, fold it.
+trait Facade {
+    type Epoch;
+    fn push(&mut self, u: u32, v: u32);
+    fn query_epoch(&mut self) -> Arc<Self::Epoch>;
+    fn fold(epoch: &Self::Epoch) -> BoruvkaOutcome;
+}
+
+impl Facade for GraphZeppelin {
+    type Epoch = SketchEpoch;
+    fn push(&mut self, u: u32, v: u32) {
+        self.edge_update(u, v);
+    }
+    fn query_epoch(&mut self) -> Arc<SketchEpoch> {
+        GraphZeppelin::query_epoch(self).expect("query epoch")
+    }
+    fn fold(epoch: &SketchEpoch) -> BoruvkaOutcome {
+        epoch.spanning_forest().expect("epoch query")
+    }
+}
+
+impl Facade for ShardedGraphZeppelin {
+    type Epoch = ShardedEpoch;
+    fn push(&mut self, u: u32, v: u32) {
+        self.update(u, v, false).expect("routed update");
+    }
+    fn query_epoch(&mut self) -> Arc<ShardedEpoch> {
+        ShardedGraphZeppelin::query_epoch(self).expect("query epoch")
+    }
+    fn fold(epoch: &ShardedEpoch) -> BoruvkaOutcome {
+        epoch.spanning_forest().expect("epoch query")
+    }
+}
+
+const CACHE_NODES: u64 = 32;
+const BUDGET: u64 = 4;
+
+/// The `i`-th update of the cache tests' stream (never a self-loop).
+fn cache_edge(i: u32) -> (u32, u32) {
+    let n = CACHE_NODES as u32;
+    let u = (i * 7) % n;
+    (u, (u + 1 + (i * 5) % (n - 1)) % n)
+}
+
+/// The stop-the-world answer after the first `count` updates, from a
+/// plain single-node system (sharded state is bit-identical to it).
+fn stop_the_world(count: u32) -> BoruvkaOutcome {
+    let mut gz = GraphZeppelin::new(GzConfig::in_ram(CACHE_NODES)).expect("reference system");
+    for i in 0..count {
+        let (u, v) = cache_edge(i);
+        gz.edge_update(u, v);
+    }
+    gz.spanning_forest().expect("reference query")
+}
+
+fn assert_same_answer(got: &BoruvkaOutcome, want: &BoruvkaOutcome, what: &str) {
+    assert_eq!(got.labels, want.labels, "{what}: labels");
+    assert_eq!(got.forest, want.forest, "{what}: forest");
+    assert_eq!(got.rounds_used, want.rounds_used, "{what}: rounds used");
+    assert_eq!(got.sketch_failures, want.sketch_failures, "{what}: sketch failures");
+}
+
+/// The cache lifecycle on one facade built with `query_staleness =
+/// Some(BUDGET)`:
+///
+/// (a) within the budget `query_epoch` hands back the very same epoch;
+/// (b) once the caller drops its handle, the cache lets go of the epoch as
+///     soon as `BUDGET + 1` more updates land — before any reseal — so
+///     nothing keeps capturing pre-images for it;
+/// (c) an epoch a caller still holds stays alive across a reseal and more
+///     ingest, and answers bit-identically to the stop-the-world query at
+///     its own seal.
+fn check_cache_lifecycle<F: Facade>(sys: &mut F, what: &str) {
+    let mut pushed = 0u32;
+    let push = |sys: &mut F, pushed: &mut u32, count: u64| {
+        for _ in 0..count {
+            let (u, v) = cache_edge(*pushed);
+            sys.push(u, v);
+            *pushed += 1;
+        }
+    };
+    push(sys, &mut pushed, 20);
+
+    // (a) Within the budget: the same Arc, however many times we ask.
+    let first = sys.query_epoch();
+    push(sys, &mut pushed, BUDGET);
+    let again = sys.query_epoch();
+    assert!(Arc::ptr_eq(&first, &again), "{what}: a lag of exactly the budget reuses");
+
+    // (b) Drop every caller handle: only the cache holds the epoch now.
+    let weak: Weak<F::Epoch> = Arc::downgrade(&first);
+    drop((first, again));
+    assert!(weak.upgrade().is_some(), "{what}: the cache still holds the epoch");
+    push(sys, &mut pushed, 1);
+    assert!(
+        weak.upgrade().is_none(),
+        "{what}: the cache must release its epoch once the stream moves past the budget"
+    );
+
+    // (c) A caller-held epoch outlives its supersession.
+    let sealed_at = pushed;
+    let held = sys.query_epoch();
+    push(sys, &mut pushed, BUDGET + 3);
+    let resealed = sys.query_epoch();
+    assert!(!Arc::ptr_eq(&held, &resealed), "{what}: past the budget the query reseals");
+    drop(resealed);
+    push(sys, &mut pushed, 40);
+    let reference = stop_the_world(sealed_at);
+    assert_same_answer(&F::fold(&held), &reference, what);
+    let live = F::fold(&sys.query_epoch());
+    assert_same_answer(&live, &stop_the_world(pushed), &format!("{what} (fresh seal)"));
+}
+
+#[test]
+fn single_node_query_epoch_cache_lifecycle() {
+    let mut config = GzConfig::in_ram(CACHE_NODES);
+    config.query_staleness = Some(BUDGET);
+    let mut gz = GraphZeppelin::new(config).expect("system");
+    check_cache_lifecycle(&mut gz, "single-node");
+}
+
+#[test]
+fn sharded_query_epoch_cache_lifecycle_in_process_and_socket() {
+    let mut config = ShardConfig::in_ram(CACHE_NODES, 3);
+    config.query_staleness = Some(BUDGET);
+    let mut in_process = ShardedGraphZeppelin::in_process(config.clone()).expect("in-process");
+    check_cache_lifecycle(&mut in_process, "in-process shards");
+    in_process.shutdown().expect("clean shutdown");
+    let mut socket = ShardedGraphZeppelin::local_socket(config).expect("socket fleet");
+    check_cache_lifecycle(&mut socket, "socket shards");
+    socket.shutdown().expect("clean shutdown");
 }
 
 mod epoch_equivalence_proptests {
